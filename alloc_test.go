@@ -8,17 +8,22 @@
 package repro
 
 import (
+	"runtime"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/experiments"
 	"repro/internal/gpusim"
 	"repro/internal/kvcache"
 	"repro/internal/metrics"
 	"repro/internal/qos"
 	"repro/internal/resilience"
 	"repro/internal/sched"
+	"repro/internal/serving"
 	"repro/internal/sim"
 	"repro/internal/timeline"
 	"repro/internal/units"
+	"repro/internal/workload"
 )
 
 // pinAllocs asserts an exact steady-state allocation count.
@@ -58,6 +63,75 @@ func TestSimHandleEventOneAlloc(t *testing.T) {
 		s.Cancel(e)
 		s.Step()
 	})
+}
+
+// TestGPULaunchFinishZeroAlloc pins the simulator's kernel cycle at
+// zero: launches come from the GPU's free list with their callbacks
+// already bound, each completion event is moved with Reschedule or
+// re-armed after it fires, and the re-rate's water-filling rows and SM
+// cover bitsets are GPU-owned scratch.
+func TestGPULaunchFinishZeroAlloc(t *testing.T) {
+	pinAllocs(t, "gpusim launch+finish", 0, gpuLaunchFinishCycle())
+}
+
+// TestBufferSnapshotZeroAlloc pins the scheduler's status fetch at zero
+// mid-run, with a prefill batch in flight, requests waiting and a decode
+// batch running: both engines fill the snapshot from their own scratch.
+func TestBufferSnapshotZeroAlloc(t *testing.T) {
+	env, b := newBulletEnv()
+	d, err := workload.ByName("sharegpt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range workload.Generate(d, 40, 200, 3).Requests {
+		r := r
+		env.Sim.Post(r.Arrival, func() { b.Submit(r) })
+	}
+	for !(b.Decode.BatchSize() > 0 && b.Prefill.Running() && b.Prefill.QueueDepth() > 0) {
+		if !env.Sim.Step() {
+			t.Fatal("run drained before prefill, waiting and decode overlapped")
+		}
+	}
+	pinAllocs(t, "engine buffer snapshot", 0, func() { _ = b.Buffer.Snapshot() })
+}
+
+// newBulletEnv builds one healthy single-replica Bullet system on the
+// default platform through the public constructors.
+func newBulletEnv() (*serving.Env, *core.Bullet) {
+	spec, cfg := experiments.Platform()
+	env := serving.NewEnv(spec, cfg, "sharegpt")
+	return env, core.New(env, core.Options{Mode: core.ModeFull})
+}
+
+// e2eAllocCeiling bounds the heap allocations per request of a
+// 300-request ShareGPT run on one healthy Bullet replica, about 10%
+// above the measured value. Only ever lower it: a rise means a
+// per-event or per-request path started allocating again.
+const e2eAllocCeiling = 124
+
+// TestE2EAllocsPerRequestSteadyState is the end-to-end allocation
+// ceiling: the whole serving run, not one hot path, divided by the
+// requests it served.
+func TestE2EAllocsPerRequestSteadyState(t *testing.T) {
+	d, err := workload.ByName("sharegpt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 300
+	trace := workload.Generate(d, 8, n, 1)
+	env, b := newBulletEnv() // fits the estimator outside the measured run
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res := env.Run(b, trace)
+	runtime.ReadMemStats(&after)
+	if len(res.Requests) != n {
+		t.Fatalf("%d of %d requests completed", len(res.Requests), n)
+	}
+	perReq := float64(after.Mallocs-before.Mallocs) / n
+	t.Logf("%.1f allocs/request (ceiling %d)", perReq, e2eAllocCeiling)
+	if perReq > e2eAllocCeiling {
+		t.Errorf("%.1f allocs/request, ceiling %d", perReq, e2eAllocCeiling)
+	}
 }
 
 // TestTimelineDisabledCallSiteZeroAlloc pins the cost of a fully

@@ -31,6 +31,7 @@ import (
 func BenchmarkHotPaths(b *testing.B) {
 	b.Run("sim/post-step", benchSimPostStep)
 	b.Run("sim/at-cancel", benchSimAtCancel)
+	b.Run("gpusim/launch-finish", benchGPULaunchFinish)
 	b.Run("sched/decide", benchSchedDecide)
 	b.Run("sched/sort-waiting", benchSchedSortWaiting)
 	b.Run("resource/rebuild", benchResourceRebuild)
@@ -64,7 +65,7 @@ func benchSimPostStep(b *testing.B) {
 }
 
 // benchSimAtCancel measures the handle-returning schedule path plus a
-// cancel, the pattern gpusim uses for retargetable completions.
+// cancel, the pattern of handle owners that drop a pending event.
 func benchSimAtCancel(b *testing.B) {
 	s := sim.New()
 	fn := func() {}
@@ -74,6 +75,42 @@ func benchSimAtCancel(b *testing.B) {
 		e := s.After(1e-6, fn)
 		s.Cancel(e)
 		s.Step()
+	}
+}
+
+// gpuLaunchFinishCycle returns one launch → re-rate → finish round on
+// two streams with overlapping masks: a compute-bound GEMM and a
+// memory-bound graph-launched decode step, both resident at once, each
+// launch and finish re-rating the pair, then run to completion.
+func gpuLaunchFinishCycle() func() {
+	s := sim.New()
+	g := gpusim.New(s, gpusim.A100())
+	a := g.NewStream(smmask.Range(0, 72))
+	d := g.NewStream(smmask.Range(36, 108))
+	gemm := gpusim.Kernel{Name: "gateup", Tag: "prefill", FLOPs: 4e12, Bytes: 6e7,
+		Grid: 256, Efficiency: 0.92}
+	step := gpusim.Kernel{Name: "decode-step", Tag: "decode", FLOPs: 2e10, Bytes: 4e9,
+		Graph: true, GraphHead: true}
+	steps := 0
+	done := func(gpusim.KernelRecord) { steps++ }
+	return func() {
+		g.Launch(a, gemm, nil)
+		g.Launch(d, step, done)
+		for s.Step() {
+		}
+	}
+}
+
+// benchGPULaunchFinish measures the simulator's kernel cycle: two
+// launches, their residency and completion events, and the four SM-share
+// re-rates they trigger.
+func benchGPULaunchFinish(b *testing.B) {
+	cycle := gpuLaunchFinishCycle()
+	cycle() // warm the launch pool, completion events and scratch
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cycle()
 	}
 }
 

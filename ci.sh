@@ -242,12 +242,15 @@ rm -f "$res_cover"
 
 step "allocation contract: steady-state AllocsPerRun pins"
 # The hot-path allocation contract (DESIGN.md, "Allocation contract"):
-# the sim event push/pop cycle, disabled-timeline call sites, the
-# water-filling re-rate, partition rebuilds, pressure gates, and
-# in-place percentiles must allocate nothing at steady state; the After
-# handle and per-request KV sequence header are pinned at exactly one.
-# Run the pins explicitly so an allocation regression fails CI by name
-# even if the broader test pass is trimmed.
+# the sim event push/pop cycle, the gpusim launch/finish cycle (pooled
+# launches, re-armed completion events), the engines' status snapshot,
+# disabled-timeline call sites, the water-filling re-rate, partition
+# rebuilds, pressure gates, and in-place percentiles must allocate
+# nothing at steady state; the After handle and per-request KV sequence
+# header are pinned at exactly one, and a whole single-replica run stays
+# under its allocations-per-request ceiling. Run the pins explicitly so
+# an allocation regression fails CI by name even if the broader test
+# pass is trimmed.
 go test -count=1 -run 'ZeroAlloc|OneAlloc|SteadyState' .
 
 step "allocation contract: bulletlint -rules hotalloc smoke"

@@ -91,6 +91,12 @@ type Engine struct {
 	decodeRun   bool
 	migrations  int
 	linkBusyTil sim.Time
+
+	// Per-batch scratch resliced to [:0]: the prefill lengths and the
+	// layer kernel list shared by every layer of the batch.
+	seqLens  []int
+	histLens []int
+	kernels  []gpusim.Kernel
 }
 
 // New creates a disaggregated engine pair.
@@ -160,13 +166,15 @@ func (e *Engine) prefillCycle() {
 		e.prefillRun = false
 		return
 	}
-	seqLens := make([]int, len(batch))
-	histLens := make([]int, len(batch))
-	for i, r := range batch {
-		seqLens[i] = r.w.InputTokens
+	e.seqLens, e.histLens = e.seqLens[:0], e.histLens[:0]
+	for _, r := range batch {
+		e.seqLens = append(e.seqLens, r.w.InputTokens)
+		e.histLens = append(e.histLens, 0)
 	}
+	// Every layer launches the same kernels: build the list once.
+	e.kernels = e.env.Model.AppendPrefillBatchLayerKernels(e.kernels[:0], e.seqLens, e.histLens, "prefill")
 	for l := 0; l < e.env.Model.NumLayers; l++ {
-		for _, k := range e.env.Model.PrefillBatchLayerKernels(seqLens, histLens, "prefill") {
+		for _, k := range e.kernels {
 			e.prefillGPU.Launch(e.pStream, k, nil)
 		}
 	}

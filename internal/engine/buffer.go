@@ -87,7 +87,10 @@ func (b *Buffer) Allocation() (prefillSMs, decodeSMs int) {
 }
 
 // Snapshot assembles the global system state S_k for the scheduler,
-// corresponding to the status fetch in Figure 9 (❶/❸).
+// corresponding to the status fetch in Figure 9 (❶/❸). The engines'
+// providers fill the state's slices from engine-owned scratch, so a
+// snapshot is valid only until the next one: consumers read it within
+// one decision (sched.Decide keeps nothing of it) and never retain it.
 func (b *Buffer) Snapshot() sched.State {
 	st := sched.State{
 		Now:        b.sim.Now(),

@@ -82,6 +82,11 @@ type DecodeEngine struct {
 	// TL, when non-nil, records step spans, pause/decision instants and
 	// request lifecycle spans on the shared timeline.
 	TL *timeline.Recorder
+
+	// elapsed and generated back the slices of the status snapshot,
+	// resliced to [:0] on every call (see Buffer.Snapshot).
+	elapsed   []units.Seconds
+	generated []int
 }
 
 // NewDecodeEngine wires a decode engine.
@@ -247,16 +252,19 @@ func (d *DecodeEngine) Preempt(blocksNeeded int, after sim.Time) []*Req {
 	return victims
 }
 
-// status is the buffer's decode state provider.
+// status is the buffer's decode state provider. The returned slices
+// alias engine scratch that the next call overwrites.
 func (d *DecodeEngine) status() sched.DecodeStatus {
 	now := d.env.Sim.Now()
 	ds := sched.DecodeStatus{Batch: len(d.batch)}
+	d.elapsed, d.generated = d.elapsed[:0], d.generated[:0]
 	ctx := 0
 	for _, r := range d.batch {
-		ds.Elapsed = append(ds.Elapsed, now-r.FirstToken)
-		ds.Generated = append(ds.Generated, r.Generated)
+		d.elapsed = append(d.elapsed, now-r.FirstToken)
+		d.generated = append(d.generated, r.Generated)
 		ctx += r.Ctx()
 	}
+	ds.Elapsed, ds.Generated = d.elapsed, d.generated
 	if len(d.batch) > 0 {
 		ds.AvgCtx = units.Tokens(float64(ctx) / float64(len(d.batch)))
 	}

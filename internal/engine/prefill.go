@@ -119,6 +119,17 @@ type PrefillEngine struct {
 	TL *timeline.Recorder
 	// batchStart is when the in-flight batch formed, for its span.
 	batchStart sim.Time
+
+	// Scratch resliced to [:0] on every use: the status snapshot's
+	// slices (see Buffer.Snapshot) and the per-cycle prefill lengths and
+	// layer kernel list.
+	arrivals    []sim.Time
+	inputTokens []int
+	weights     []float64
+	waitingReqs []sched.WaitingReq
+	seqLens     []int
+	histLens    []int
+	kernels     []gpusim.Kernel
 }
 
 // NewPrefillEngine wires a prefill engine. Call SetDecode before use.
@@ -255,32 +266,39 @@ func (p *PrefillEngine) Requeue(reqs []*Req) {
 	})
 }
 
-// status is the buffer's prefill state provider.
+// status is the buffer's prefill state provider. The returned slices
+// alias engine scratch that the next call overwrites.
 func (p *PrefillEngine) status() (sched.PrefillStatus, []sched.WaitingReq) {
 	ps := sched.PrefillStatus{}
 	if p.running {
 		ps.Active = true
 		ps.Tokens = p.batchTokens
 		ps.LayersDone = p.layersDone
+		p.arrivals, p.inputTokens, p.weights = p.arrivals[:0], p.inputTokens[:0], p.weights[:0]
 		for _, r := range p.batch {
-			ps.Arrivals = append(ps.Arrivals, r.W.Arrival)
-			ps.InputTokens = append(ps.InputTokens, r.W.InputTokens)
+			p.arrivals = append(p.arrivals, r.W.Arrival)
+			p.inputTokens = append(p.inputTokens, r.W.InputTokens)
 			if p.QoS != nil {
-				ps.Weights = append(ps.Weights, p.QoS.WeightOf(r.Class))
+				p.weights = append(p.weights, p.QoS.WeightOf(r.Class))
 			}
 			if r.PrefillStart > ps.StartTime {
 				ps.StartTime = r.PrefillStart
 			}
 		}
-	}
-	ws := make([]sched.WaitingReq, len(p.waiting))
-	for i, r := range p.waiting {
-		ws[i] = sched.WaitingReq{Arrival: r.W.Arrival, InputTokens: r.W.InputTokens}
+		ps.Arrivals, ps.InputTokens = p.arrivals, p.inputTokens
 		if p.QoS != nil {
-			ws[i].Weight = p.QoS.WeightOf(r.Class)
+			ps.Weights = p.weights
 		}
 	}
-	return ps, ws
+	p.waitingReqs = p.waitingReqs[:0]
+	for _, r := range p.waiting {
+		w := sched.WaitingReq{Arrival: r.W.Arrival, InputTokens: r.W.InputTokens}
+		if p.QoS != nil {
+			w.Weight = p.QoS.WeightOf(r.Class)
+		}
+		p.waitingReqs = append(p.waitingReqs, w)
+	}
+	return ps, p.waitingReqs
 }
 
 // tryStart forms and launches the next prefill batch if idle.
@@ -531,17 +549,19 @@ func (p *PrefillEngine) cycle() {
 	if left := p.env.Model.NumLayers - p.layersDone; group > left {
 		group = left
 	}
-	seqLens := make([]int, len(p.batch))
-	histLens := make([]int, len(p.batch))
-	for i, r := range p.batch {
-		seqLens[i] = r.NewTokens()
-		histLens[i] = r.PrefixHit
+	p.seqLens, p.histLens = p.seqLens[:0], p.histLens[:0]
+	for _, r := range p.batch {
+		p.seqLens = append(p.seqLens, r.NewTokens())
+		p.histLens = append(p.histLens, r.PrefixHit)
 	}
 	colocated := p.dec != nil && p.dec.BatchSize() > 0
 	predicted := units.Scale(p.est.PrefillLayerTime(p.batchTokens, 0, pm, colocated), float64(group))
 	start := p.env.Sim.Now()
+	// Every layer of the group launches the same kernels: build the list
+	// once per cycle.
+	p.kernels = p.env.Model.AppendPrefillBatchLayerKernels(p.kernels[:0], p.seqLens, p.histLens, "prefill")
 	for l := 0; l < group; l++ {
-		for _, k := range p.env.Model.PrefillBatchLayerKernels(seqLens, histLens, "prefill") {
+		for _, k := range p.kernels {
 			p.env.GPU.Launch(stream, k, nil)
 		}
 	}

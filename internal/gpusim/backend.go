@@ -20,7 +20,9 @@ import "repro/internal/units"
 //     device peak, scaling progress and bandwidth together.
 //   - Demand is called at every rate recomputation, i.e. on every kernel
 //     start and finish while the kernel is resident; it must not mutate
-//     backend state (only Begin may).
+//     backend state (only Begin may). By then recompute has cached the
+//     kernel's SM share, overlap fraction and occupancy on the launch
+//     (DESIGN.md §4), which soloRate reads.
 type LatencyBackend interface {
 	// Name identifies the backend ("analytic", "sampled", "hierarchy").
 	Name() string
@@ -71,7 +73,6 @@ func (AnalyticBackend) Begin(*GPU, *launch) {}
 
 // Demand implements LatencyBackend with the analytic fluid model.
 func (AnalyticBackend) Demand(g *GPU, l *launch) KernelDemand {
-	meff := g.effectiveSMs(l)
-	nominal, _ := g.soloRate(l, meff, g.overlapFraction(l))
+	nominal, _ := g.soloRate(l)
 	return KernelDemand{Rate: nominal, BW: l.k.Bytes.AtRate(nominal), Volume: l.k.Bytes}
 }

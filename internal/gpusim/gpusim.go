@@ -24,7 +24,8 @@ package gpusim
 import (
 	"fmt"
 	"math"
-	"sort"
+	"math/bits"
+	"slices"
 
 	"repro/internal/sim"
 	"repro/internal/smmask"
@@ -79,7 +80,11 @@ type launch struct {
 	rate      units.PerSec // fraction per second under the current regime
 	startTime sim.Time
 	overhead  sim.Time // launch overhead still to elapse before running
-	complete  *sim.Event
+	// complete is the launch's completion event: allocated at its first
+	// arming, then moved with Reschedule while pending and re-armed
+	// with Rearm after it fires, for every kernel the pooled launch
+	// carries.
+	complete *sim.Event
 	// weight is the kernel's compute intensity in [minComputeWeight, 1]:
 	// how much of an SM's issue bandwidth it consumes. Memory-bound
 	// kernels stall on DRAM and leave most compute cycles to co-resident
@@ -90,7 +95,49 @@ type launch struct {
 	// the analytic model; the ratio of modelled to sampled latency for the
 	// sampled backend).
 	scale float64
+
+	// meff, ov and occ cache the kernel's compute share (effectiveSMs),
+	// SM-overlap fraction (overlapFraction) and health-weighted occupancy
+	// (maskHealth of its mask) under the current resident set. recompute
+	// refreshes them before anything reads them; they stay valid until
+	// the next recompute because residency and SM health change only
+	// through recompute (DESIGN.md §4).
+	meff units.SMs
+	ov   float64
+	occ  float64
+
+	// finishFn and beginFn are finish(l) and beginResident(l), bound once
+	// when the launch is first allocated and reused every time the pool
+	// hands it out again.
+	finishFn func()
+	beginFn  func()
 }
+
+// demand is one resident kernel's bandwidth request in recompute's
+// max–min water-filling.
+type demand struct {
+	l       *launch
+	nominal units.PerSec
+	bytes   units.BytesPerSec // bytes/s at nominal rate
+	volume  units.Bytes       // effective DRAM bytes per execution
+}
+
+// demandByBytes orders demands by bandwidth. It reports "less" exactly
+// where the comparator `a.bytes < b.bytes` did, so slices.SortFunc (the
+// same pdqsort as sort.Slice) resolves ties identically.
+func demandByBytes(a, b demand) int {
+	switch {
+	case a.bytes < b.bytes:
+		return -1
+	case b.bytes < a.bytes:
+		return 1
+	}
+	return 0
+}
+
+// maxCoverKernels is the most resident kernels the per-SM cover bitsets
+// can index; beyond it cacheShares falls back to the per-kernel loops.
+const maxCoverKernels = 64
 
 // minComputeWeight keeps even pure-copy kernels consuming some issue
 // slots.
@@ -185,6 +232,16 @@ type GPU struct {
 	// TL, when non-nil, records per-kernel spans (one lane per stream)
 	// and occupancy/throughput counter samples on the shared timeline.
 	TL *timeline.Recorder
+
+	// Scratch of the launch → re-rate → finish cycle, owned per GPU (never
+	// package-level, so fork/join replicas share nothing) and reused so
+	// the steady state allocates nothing: finished launches wait in
+	// freeLaunches for the next Launch, demands holds recompute's
+	// water-filling rows, and cover[i] is the bitset of resident kernels
+	// (indices into running) whose masks contain SM i.
+	freeLaunches []*launch
+	demands      []demand
+	cover        [smmask.MaxSMs]uint64
 }
 
 // Utilization is an instantaneous snapshot of device activity.
@@ -308,7 +365,11 @@ func (g *GPU) maskHealth(m smmask.Mask) float64 {
 		return float64(m.Count())
 	}
 	total := 0.0
-	m.ForEach(func(i int) { total += g.health[i] })
+	for w, word := range m {
+		for ; word != 0; word &= word - 1 {
+			total += g.health[w<<6|bits.TrailingZeros64(word)]
+		}
+	}
 	return total
 }
 
@@ -329,16 +390,41 @@ func (g *GPU) NewStream(mask smmask.Mask) *Stream {
 
 // Launch enqueues a kernel on a stream. done (optional) fires when the
 // kernel completes, receiving its execution record.
+//
+//bullet:hotpath
 func (g *GPU) Launch(st *Stream, k Kernel, done func(KernelRecord)) {
 	if k.FLOPs < 0 || k.Bytes < 0 || k.CommBytes < 0 ||
 		(k.FLOPs == 0 && k.Bytes == 0 && k.CommBytes == 0) {
 		panic(fmt.Sprintf("gpusim: kernel %q has no work", k.Name))
 	}
-	l := &launch{k: k, done: done, stream: st}
+	l := g.newLaunch()
+	*l = launch{k: k, done: done, stream: st,
+		complete: l.complete, finishFn: l.finishFn, beginFn: l.beginFn}
+	//lint:ignore hotalloc queue growth is amortized; finish pops by shifting, so the capacity is reused
 	st.queue = append(st.queue, l)
 	if len(st.queue) == 1 {
 		g.startHead(st)
 	}
+}
+
+// newLaunch takes a launch from the GPU's free list. On a miss it
+// allocates one and binds its callbacks; a GPU never holds more launches
+// than it ever had queued at once, so misses stop once the queues have
+// reached their working depth.
+func (g *GPU) newLaunch() *launch {
+	if n := len(g.freeLaunches); n > 0 {
+		l := g.freeLaunches[n-1]
+		g.freeLaunches[n-1] = nil
+		g.freeLaunches = g.freeLaunches[:n-1]
+		return l
+	}
+	//lint:ignore hotalloc pool miss: launches are recycled by finish, so allocation stops at the peak queued depth
+	l := &launch{}
+	//lint:ignore hotalloc bound once per pooled launch and reused for every kernel it carries
+	l.finishFn = func() { g.finish(l) }
+	//lint:ignore hotalloc bound once per pooled launch and reused for every kernel it carries
+	l.beginFn = func() { g.beginResident(l) }
+	return l
 }
 
 // Synchronize invokes fn once every kernel currently queued on the stream
@@ -362,7 +448,7 @@ func (g *GPU) startHead(st *Stream) {
 	if l.overhead > 0 {
 		// CPU launch gap: the kernel becomes resident after the
 		// overhead elapses.
-		g.sim.PostAfter(l.overhead, func() { g.beginResident(l) })
+		g.sim.PostAfter(l.overhead, l.beginFn)
 		return
 	}
 	g.beginResident(l)
@@ -386,6 +472,7 @@ func (g *GPU) beginResident(l *launch) {
 	l.weight = g.computeIntensity(l.k)
 	l.scale = 1
 	g.backend.Begin(g, l)
+	//lint:ignore hotalloc resident-set growth is amortized; finish removes in place, so the capacity is reused
 	g.running = append(g.running, l)
 	g.recompute()
 }
@@ -410,14 +497,20 @@ func (g *GPU) computeIntensity(k Kernel) float64 {
 }
 
 // finish completes a running kernel: pops it from its stream, fires its
-// callback, and starts the next queued kernel if any.
+// callback, and starts the next queued kernel if any. The launch goes
+// back to the GPU's free list before the callback runs, so a callback
+// that launches again reuses it.
+//
+//bullet:hotpath
 func (g *GPU) finish(l *launch) {
 	g.advance()
 	l.remaining = 0
 	l.running = false
 	for i, r := range g.running {
 		if r == l {
-			g.running = append(g.running[:i], g.running[i+1:]...)
+			n := i + copy(g.running[i:], g.running[i+1:])
+			g.running[n] = nil
+			g.running = g.running[:n]
 			break
 		}
 	}
@@ -425,7 +518,11 @@ func (g *GPU) finish(l *launch) {
 	if len(st.queue) == 0 || st.queue[0] != l {
 		panic("gpusim: finished kernel is not at stream head")
 	}
-	st.queue = st.queue[1:]
+	// Shift instead of re-slicing, so the queue's backing array keeps its
+	// capacity for later appends.
+	n := copy(st.queue, st.queue[1:])
+	st.queue[n] = nil
+	st.queue = st.queue[:n]
 
 	rec := KernelRecord{
 		Name:     l.k.Name,
@@ -450,15 +547,21 @@ func (g *GPU) finish(l *launch) {
 	if len(st.queue) > 0 {
 		g.startHead(st)
 	} else if len(st.waiters) > 0 {
-		ws := st.waiters
-		st.waiters = nil
-		for _, w := range ws {
+		// Waiters are posted, never run inline, so the slice can be
+		// cleared and kept for the next Synchronize.
+		for i, w := range st.waiters {
 			g.sim.PostAfter(0, w)
+			st.waiters[i] = nil
 		}
+		st.waiters = st.waiters[:0]
 	}
 	g.recompute()
-	if l.done != nil {
-		l.done(rec)
+	done := l.done
+	l.done, l.stream = nil, nil
+	//lint:ignore hotalloc free-list growth is bounded by the launches ever allocated; steady state reuses capacity
+	g.freeLaunches = append(g.freeLaunches, l)
+	if done != nil {
+		done(rec)
 	}
 }
 
@@ -466,6 +569,8 @@ func (g *GPU) finish(l *launch) {
 // lane, annotated with achieved rates and contention at completion.
 // Called after l leaves g.running, so overlapFraction measures the SMs
 // still contended by other kernels.
+//
+//bullet:hotpath-ignore runs only with a timeline recorder attached, which allocates its export by design
 func (g *GPU) emitKernelSpan(st *Stream, l *launch, rec KernelRecord) {
 	dur := rec.Duration()
 	args := make([]timeline.Arg, 0, 8)
@@ -490,6 +595,8 @@ func streamLane(id int) string { return fmt.Sprintf("stream%02d", id) }
 
 // advance integrates work done at the current rates since lastUpdate and
 // decrements remaining fractions.
+//
+//bullet:hotpath
 func (g *GPU) advance() {
 	now := g.sim.Now()
 	dt := now - g.lastUpdate
@@ -511,7 +618,7 @@ func (g *GPU) advance() {
 		l.remaining -= done
 		g.flopsDone += units.Scale(l.k.FLOPs, done)
 		g.bytesDone += units.Scale(l.k.Bytes, done)
-		meff := g.effectiveSMs(l)
+		meff := l.meff
 		g.smBusyTime += meff.Times(dt)
 		g.tagFlops[l.k.Tag] += units.Scale(l.k.FLOPs, done)
 		g.tagBytes[l.k.Tag] += units.Scale(l.k.Bytes, done)
@@ -519,12 +626,114 @@ func (g *GPU) advance() {
 	}
 }
 
+// cacheShares refreshes every resident kernel's cached compute share
+// (meff), overlap fraction (ov) and occupancy (occ). The values equal
+// effectiveSMs, overlapFraction and maskHealth bit for bit. When no two
+// resident masks overlap (a lone kernel, or strictly partitioned
+// streams), every kernel owns its SMs outright, as in effectiveSMs' fast
+// path. Otherwise each kernel's SMs are still visited in ascending order,
+// and on each SM the sharers' weights are still summed in running order,
+// starting from the kernel's own; but instead of testing every other
+// kernel's mask per SM, a per-SM cover bitset is built once, and the
+// share is recomputed only when the set of co-resident sharers changes
+// from one SM to the next.
+func (g *GPU) cacheShares() {
+	if len(g.running) > maxCoverKernels {
+		for _, l := range g.running {
+			l.meff = g.effectiveSMs(l)
+			l.ov = g.overlapFraction(l)
+			l.occ = g.maskHealth(l.mask)
+		}
+		return
+	}
+	if !g.anyOverlap() {
+		for _, l := range g.running {
+			l.occ = g.maskHealth(l.mask)
+			l.meff, l.ov = units.SMs(l.occ), 0
+		}
+		return
+	}
+	var union smmask.Mask
+	for _, l := range g.running {
+		union = union.Union(l.mask)
+	}
+	for w, word := range union {
+		for ; word != 0; word &= word - 1 {
+			g.cover[w<<6|bits.TrailingZeros64(word)] = 0
+		}
+	}
+	for j, l := range g.running {
+		bit := uint64(1) << uint(j)
+		for w, word := range l.mask {
+			for ; word != 0; word &= word - 1 {
+				g.cover[w<<6|bits.TrailingZeros64(word)] |= bit
+			}
+		}
+	}
+	for j, l := range g.running {
+		self := uint64(1) << uint(j)
+		var (
+			eff    units.SMs
+			occ    float64
+			shared int
+			last   uint64
+			share  float64
+			primed bool
+		)
+		for w, word := range l.mask {
+			for ; word != 0; word &= word - 1 {
+				i := w<<6 | bits.TrailingZeros64(word)
+				others := g.cover[i] &^ self
+				if others != 0 {
+					shared++
+				}
+				if !primed || others != last {
+					total := l.weight
+					for o := others; o != 0; o &= o - 1 {
+						total += g.running[bits.TrailingZeros64(o)].weight
+					}
+					share = l.weight / total
+					last, primed = others, true
+				}
+				if g.health != nil {
+					eff += units.SMs(share * g.health[i])
+					occ += g.health[i]
+				} else {
+					eff += units.SMs(share)
+				}
+			}
+		}
+		if g.health == nil {
+			occ = float64(l.maskCount)
+		}
+		l.meff, l.occ = eff, occ
+		l.ov = 0
+		if l.maskCount != 0 {
+			l.ov = float64(shared) / float64(l.maskCount)
+		}
+	}
+}
+
+// anyOverlap reports whether any two resident kernels share an SM.
+func (g *GPU) anyOverlap() bool {
+	for i, l := range g.running {
+		for _, o := range g.running[i+1:] {
+			if l.mask.Overlaps(o.mask) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // effectiveSMs returns the compute share of kernel l: SMs exclusively
 // owned count fully; on SMs shared with other resident kernels the issue
 // bandwidth is split in proportion to the sharers' compute intensities,
 // so a memory-bound kernel co-resident with a GEMM costs the GEMM little
 // compute (the warp scheduler interleaves around its DRAM stalls).
-// Degraded SMs contribute only their health fraction.
+// Degraded SMs contribute only their health fraction. cacheShares
+// computes the same value for every resident kernel at once; this
+// per-kernel form is its fallback past maxCoverKernels residents.
 func (g *GPU) effectiveSMs(l *launch) units.SMs {
 	// Fast path: no overlap with any other resident kernel.
 	overlapped := false
@@ -538,24 +747,28 @@ func (g *GPU) effectiveSMs(l *launch) units.SMs {
 		return units.SMs(g.maskHealth(l.mask))
 	}
 	eff := units.SMs(0)
-	l.mask.ForEach(func(i int) {
-		total := l.weight
-		for _, o := range g.running {
-			if o != l && o.mask.Has(i) {
-				total += o.weight
+	for w, word := range l.mask {
+		for ; word != 0; word &= word - 1 {
+			i := w<<6 | bits.TrailingZeros64(word)
+			total := l.weight
+			for _, o := range g.running {
+				if o != l && o.mask.Has(i) {
+					total += o.weight
+				}
 			}
+			share := l.weight / total
+			if g.health != nil {
+				share *= g.health[i]
+			}
+			eff += units.SMs(share)
 		}
-		share := l.weight / total
-		if g.health != nil {
-			share *= g.health[i]
-		}
-		eff += units.SMs(share)
-	})
+	}
 	return eff
 }
 
 // overlapFraction returns the share of l's SMs also occupied by other
-// resident kernels.
+// resident kernels (l itself need not be resident: the timeline span of
+// a finished kernel reports the contention it left behind).
 func (g *GPU) overlapFraction(l *launch) float64 {
 	var union smmask.Mask
 	for _, o := range g.running {
@@ -570,15 +783,16 @@ func (g *GPU) overlapFraction(l *launch) float64 {
 	return float64(shared) / float64(l.maskCount)
 }
 
-// soloRate returns the rate (fraction/s) kernel l would sustain with meff
-// SMs of compute and unlimited access to its bandwidth cap, along with its
-// bandwidth demand at that rate. ov is the kernel's SM-overlap fraction
-// with co-resident kernels: interference (L1/shared-memory/scheduler
-// thrash) scales with how much the masks actually collide — strictly
-// partitioned kernels only contend for DRAM, which the water-filling
-// handles separately.
-func (g *GPU) soloRate(l *launch, meff units.SMs, ov float64) (rate units.PerSec, bwCap units.BytesPerSec) {
+// soloRate returns the rate (fraction/s) kernel l would sustain with its
+// cached compute share (l.meff) and unlimited access to its bandwidth
+// cap, along with its bandwidth demand at that rate. l.ov is the kernel's
+// SM-overlap fraction with co-resident kernels: interference
+// (L1/shared-memory/scheduler thrash) scales with how much the masks
+// actually collide — strictly partitioned kernels only contend for DRAM,
+// which the water-filling handles separately.
+func (g *GPU) soloRate(l *launch) (rate units.PerSec, bwCap units.BytesPerSec) {
 	spec := g.Spec
+	meff, ov := l.meff, l.ov
 	frac := units.Ratio(meff, units.SMs(spec.NumSMs))
 	if frac <= 0 {
 		// Every SM under the mask is dead: drain in-flight work at the
@@ -598,7 +812,7 @@ func (g *GPU) soloRate(l *launch, meff units.SMs, ov float64) (rate units.PerSec
 	// is resident on (degraded SMs issue proportionally fewer memory
 	// requests), not its contended compute share.
 	wave := 1 - WaveIdleRatio(l.k.Grid, l.maskCount)
-	occ := g.maskHealth(l.mask)
+	occ := l.occ
 	if occ <= 0 {
 		occ = deadDrainSMs
 	}
@@ -622,28 +836,25 @@ func (g *GPU) soloRate(l *launch, meff units.SMs, ov float64) (rate units.PerSec
 
 // recompute re-derives every resident kernel's rate from the current mix
 // and reschedules completion events. Called after any membership change.
+//
+//bullet:hotpath
 func (g *GPU) recompute() {
 	totalBW := g.Spec.PeakBW
 
-	type demand struct {
-		l       *launch
-		nominal units.PerSec
-		bytes   units.BytesPerSec // bytes/s at nominal rate
-		volume  units.Bytes       // effective DRAM bytes per execution
-	}
-	demands := make([]demand, 0, len(g.running))
+	g.cacheShares()
+	g.demands = g.demands[:0]
 	for _, l := range g.running {
 		d := g.backend.Demand(g, l)
-		demands = append(demands, demand{l, d.Rate, d.BW, d.Volume})
+		g.demands = append(g.demands, demand{l, d.Rate, d.BW, d.Volume})
 	}
 
 	// Max–min fair bandwidth allocation with per-kernel caps: kernels
 	// demanding less than an equal share keep their full rate; the rest
 	// split the remainder evenly, iterating as shares free up.
-	sort.Slice(demands, func(i, j int) bool { return demands[i].bytes < demands[j].bytes })
+	slices.SortFunc(g.demands, demandByBytes)
 	remaining := totalBW
-	left := len(demands)
-	for idx, d := range demands {
+	left := len(g.demands)
+	for _, d := range g.demands {
 		share := units.Over(remaining, float64(left))
 		alloc := units.Min(d.bytes, share)
 		remaining -= alloc
@@ -652,7 +863,7 @@ func (g *GPU) recompute() {
 		if d.volume > 0 && alloc < d.bytes {
 			rate = alloc.Progress(d.volume)
 		}
-		demands[idx].l.rate = rate
+		d.l.rate = rate
 	}
 
 	// Reschedule completions.
@@ -661,7 +872,7 @@ func (g *GPU) recompute() {
 	for _, l := range g.running {
 		instFlops += l.k.FLOPs.AtRate(l.rate)
 		instBytes += l.k.Bytes.AtRate(l.rate)
-		busySMs += g.effectiveSMs(l)
+		busySMs += l.meff
 		var eta sim.Time
 		if l.rate <= 0 {
 			eta = units.Inf[units.Seconds](1)
@@ -671,11 +882,15 @@ func (g *GPU) recompute() {
 		if units.IsInf(eta, 1) {
 			panic(fmt.Sprintf("gpusim: kernel %q stalled with zero rate", l.k.Name))
 		}
-		l := l
-		if l.complete != nil {
-			g.sim.Cancel(l.complete)
+		// Move the pending completion, or re-arm the one that fired for
+		// the launch's previous kernel; both consume one sequence number,
+		// as a fresh At would, so event order is unchanged.
+		switch {
+		case l.complete == nil:
+			l.complete = g.sim.At(eta, l.finishFn)
+		case !g.sim.Reschedule(l.complete, eta):
+			g.sim.Rearm(l.complete, eta)
 		}
-		l.complete = g.sim.At(eta, func() { g.finish(l) })
 	}
 	if g.Sampler != nil {
 		g.Sampler(now, Utilization{

@@ -215,8 +215,7 @@ func (b *SampledBackend) Begin(g *GPU, l *launch) {
 // drawn rate multiplier applied, so bandwidth consumption tracks the
 // sampled rate.
 func (b *SampledBackend) Demand(g *GPU, l *launch) KernelDemand {
-	meff := g.effectiveSMs(l)
-	nominal, _ := g.soloRate(l, meff, g.overlapFraction(l))
+	nominal, _ := g.soloRate(l)
 	rate := units.Scale(nominal, l.scale)
 	return KernelDemand{Rate: rate, BW: l.k.Bytes.AtRate(rate), Volume: l.k.Bytes}
 }

@@ -270,22 +270,13 @@ func (c Config) AppendPrefillLayerKernels(dst []gpusim.Kernel, newTokens, histTo
 	h := float64(c.HiddenSize)
 	bpp := float64(c.BytesPerParam)
 	qkvOut := float64(c.QKVOutDim())
-	kvDim := float64(c.KVDim())
 	inter := float64(c.IntermediateSize)
-	hist := float64(histTokens)
 
-	// Attention: each of the s new tokens attends to hist cached tokens
-	// plus (causally) about half of the chunk itself. QK^T and A·V each
-	// cost 2·keys·headDim per query row per head = 2·keys·h total.
 	// Under tensor parallelism each rank holds heads/n query heads and
 	// kvDim/n of the KV width (column-parallel QKV, head-split
 	// attention, row-parallel OProj), and 1/n of the MLP width.
 	n := c.tp()
 	nInt := int(n)
-	attnKeys := s*hist + s*(s+1)/2
-	attnFLOPs := units.FLOPs(4 * h * attnKeys / n)
-	attnBytes := units.Bytes((2*(hist+s)*kvDim/n + // K and V read (per-rank shard)
-		2*s*h/n) * bpp) // Q in, O out
 
 	dst = append(dst,
 		gpusim.Kernel{
@@ -300,13 +291,7 @@ func (c Config) AppendPrefillLayerKernels(dst []gpusim.Kernel, newTokens, histTo
 			Grid:       gemmGrid(newTokens, c.QKVOutDim()/nInt, wideTileN),
 			Efficiency: gemmEfficiency,
 		},
-		gpusim.Kernel{
-			Name: "attn", Tag: tag, Tokens: newTokens + histTokens,
-			FLOPs:      attnFLOPs,
-			Bytes:      attnBytes,
-			Grid:       c.NumHeads / nInt * ceilDiv(newTokens, flashRowBlock),
-			Efficiency: prefillAttnEfficiency,
-		},
+		c.prefillAttnKernel(newTokens, histTokens, tag),
 		gpusim.Kernel{
 			Name: "oproj", Tag: tag, Tokens: newTokens,
 			FLOPs:      units.FLOPs(2 * s * h * h / n),
@@ -345,11 +330,46 @@ func (c Config) AppendPrefillLayerKernels(dst []gpusim.Kernel, newTokens, histTo
 	return dst
 }
 
+// prefillAttnKernel is the attention kernel of one prefill layer over
+// newTokens tokens whose sequence already has histTokens cached.
+func (c Config) prefillAttnKernel(newTokens, histTokens int, tag string) gpusim.Kernel {
+	if newTokens <= 0 {
+		panic(fmt.Sprintf("model: PrefillLayerKernels with %d tokens", newTokens))
+	}
+	s := float64(newTokens)
+	h := float64(c.HiddenSize)
+	bpp := float64(c.BytesPerParam)
+	kvDim := float64(c.KVDim())
+	hist := float64(histTokens)
+	n := c.tp()
+
+	// Each of the s new tokens attends to hist cached tokens plus
+	// (causally) about half of the chunk itself. QK^T and A·V each cost
+	// 2·keys·headDim per query row per head = 2·keys·h total, split over
+	// the tensor-parallel ranks.
+	attnKeys := s*hist + s*(s+1)/2
+	return gpusim.Kernel{
+		Name: "attn", Tag: tag, Tokens: newTokens + histTokens,
+		FLOPs: units.FLOPs(4 * h * attnKeys / n),
+		Bytes: units.Bytes((2*(hist+s)*kvDim/n + // K and V read (per-rank shard)
+			2*s*h/n) * bpp), // Q in, O out
+		Grid:       c.NumHeads / int(n) * ceilDiv(newTokens, flashRowBlock),
+		Efficiency: prefillAttnEfficiency,
+	}
+}
+
 // PrefillBatchLayerKernels returns one decoder layer for a batch of
 // prefill sequences processed together: the linear operators run over the
 // concatenated rows while attention stays per-sequence (each sequence only
 // attends to itself plus its own cached history).
 func (c Config) PrefillBatchLayerKernels(seqLens, histLens []int, tag string) []gpusim.Kernel {
+	return c.AppendPrefillBatchLayerKernels(nil, seqLens, histLens, tag)
+}
+
+// AppendPrefillBatchLayerKernels is PrefillBatchLayerKernels appending
+// into dst, for per-cycle callers (the prefill engines) that reuse a
+// scratch buffer instead of allocating a kernel list per layer.
+func (c Config) AppendPrefillBatchLayerKernels(dst []gpusim.Kernel, seqLens, histLens []int, tag string) []gpusim.Kernel {
 	if len(seqLens) == 0 {
 		panic("model: empty prefill batch")
 	}
@@ -363,23 +383,23 @@ func (c Config) PrefillBatchLayerKernels(seqLens, histLens []int, tag string) []
 		}
 		total += n
 	}
-	base := c.PrefillLayerKernels(total, 0, tag)
-	out := make([]gpusim.Kernel, 0, len(base)+len(seqLens)-1)
-	for _, k := range base {
-		if k.Name != "attn" {
-			out = append(out, k)
-			continue
-		}
-		for i, n := range seqLens {
-			per := c.PrefillLayerKernels(n, histLens[i], tag)
-			for _, pk := range per {
-				if pk.Name == "attn" {
-					out = append(out, pk)
-				}
-			}
-		}
+	// Build the batch-wide layer, then widen its one attention slot into
+	// one kernel per sequence, shifting the operators after it right.
+	start := len(dst)
+	dst = c.AppendPrefillLayerKernels(dst, total, 0, tag)
+	end := len(dst)
+	attn := start
+	for dst[attn].Name != "attn" {
+		attn++
 	}
-	return out
+	for range seqLens[1:] {
+		dst = append(dst, gpusim.Kernel{})
+	}
+	copy(dst[attn+len(seqLens):], dst[attn+1:end])
+	for i, n := range seqLens {
+		dst[attn+i] = c.prefillAttnKernel(n, histLens[i], tag)
+	}
+	return dst
 }
 
 // DecodeLayerKernels returns one decoder layer's kernel sequence for a
@@ -501,11 +521,7 @@ func (c Config) HybridLayerKernels(chunkLens, histLens []int, batch int, avgCtx 
 			if n == 0 {
 				continue
 			}
-			for _, pk := range c.PrefillLayerKernels(n, histLens[i], tag) {
-				if pk.Name == "attn" {
-					out = append(out, pk)
-				}
-			}
+			out = append(out, c.prefillAttnKernel(n, histLens[i], tag))
 		}
 		out = append(out, decodeAttn)
 	}

@@ -237,3 +237,55 @@ func BenchmarkDecodeStepKernel(b *testing.B) {
 		_ = c.DecodeStepKernel(64, 2048, "d")
 	}
 }
+
+// TestAppendPrefillBatchLayerKernels: the scratch-backed builder emits
+// exactly the batch-wide layer with its attention replaced by each
+// sequence's own single-sequence attention kernel, keeps whatever dst
+// already held, and reuses warm scratch without allocating.
+func TestAppendPrefillBatchLayerKernels(t *testing.T) {
+	tp := Llama31_8B()
+	tp.TPDegree = 2
+	seqLens := []int{512, 7, 2048, 130}
+	histLens := []int{0, 64, 1024, 0}
+	for _, c := range []Config{Llama31_8B(), Qwen2_7B(), tp} {
+		total := 0
+		for _, n := range seqLens {
+			total += n
+		}
+		var want []gpusim.Kernel
+		for _, k := range c.PrefillLayerKernels(total, 0, "prefill") {
+			if k.Name != "attn" {
+				want = append(want, k)
+				continue
+			}
+			for i, n := range seqLens {
+				for _, pk := range c.PrefillLayerKernels(n, histLens[i], "prefill") {
+					if pk.Name == "attn" {
+						want = append(want, pk)
+					}
+				}
+			}
+		}
+		prefix := c.DecodeLayerKernels(4, 100, "decode")
+		got := c.AppendPrefillBatchLayerKernels(append([]gpusim.Kernel(nil), prefix...), seqLens, histLens, "prefill")
+		if len(got) != len(prefix)+len(want) {
+			t.Fatalf("%s: %d kernels, want %d", c.Name, len(got), len(prefix)+len(want))
+		}
+		for i := range prefix {
+			if got[i] != prefix[i] {
+				t.Errorf("%s: prefix kernel %d overwritten: %+v", c.Name, i, got[i])
+			}
+		}
+		for i, k := range got[len(prefix):] {
+			if k != want[i] {
+				t.Errorf("%s: kernel %d = %+v, want %+v", c.Name, i, k, want[i])
+			}
+		}
+		scratch := make([]gpusim.Kernel, 0, len(want))
+		if a := testing.AllocsPerRun(50, func() {
+			scratch = c.AppendPrefillBatchLayerKernels(scratch[:0], seqLens, histLens, "prefill")
+		}); a != 0 {
+			t.Errorf("%s: %v allocs per warm append, want 0", c.Name, a)
+		}
+	}
+}

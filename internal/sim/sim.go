@@ -8,9 +8,12 @@
 // reproducible from a seed.
 //
 // Two scheduling APIs coexist. At/After return a cancellable *Event
-// handle and allocate a fresh event per call — callers like the GPU
-// launch path retain the handle across arbitrary simulated time, so
-// those events are garbage-collected, never recycled. Post/PostAfter are
+// handle and allocate a fresh event per call — callers retain the handle
+// across arbitrary simulated time, so those events are never recycled by
+// the simulation; an owner that fires one callback repeatedly moves the
+// handle with Reschedule and re-arms it after it fires with Rearm, so
+// the handle is allocated once (the GPU's per-launch completion event).
+// Post/PostAfter are
 // the hot-path variants: no handle, no cancellation, and the event
 // struct comes from an internal arena that recycles it the moment it
 // fires, so the steady-state schedule/fire cycle performs zero heap
@@ -325,6 +328,28 @@ func (s *Simulation) Reschedule(e *Event, t Time) bool {
 		s.siftUp(i)
 	}
 	return true
+}
+
+// Rearm schedules a fired or cancelled handle event again at absolute
+// time t with its original callback, reusing the event's storage. It
+// consumes one scheduling sequence number, exactly like the At call it
+// replaces, so event order is unchanged. Owners that fire one callback
+// many times (gpusim's per-launch completion) keep a single handle
+// alive this way instead of allocating a fresh one per arming. Re-arming
+// a pending event or a pool-owned one panics.
+//
+//bullet:hotpath
+func (s *Simulation) Rearm(e *Event, t Time) {
+	if e == nil || e.pooled || e.index >= 0 {
+		panic("sim: Rearm needs a fired or cancelled handle event")
+	}
+	s.checkTime(t, "re-arming")
+	e.at = t
+	e.seq = s.seq
+	e.dead = false
+	e.created = s.now
+	s.seq++
+	s.pushEvent(e)
 }
 
 // Step fires the next event, advancing the clock. It returns false when no

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -118,6 +119,53 @@ func TestRescheduleLater(t *testing.T) {
 	s.RunAll(10)
 	if len(order) != 2 || order[0] != "b" || order[1] != "a" {
 		t.Fatalf("order = %v", order)
+	}
+}
+
+// TestRearm: a fired or cancelled handle fires again at the re-armed
+// time with its original callback, ordered among simultaneous events as
+// a fresh At at that point would be; pending and pooled events are
+// refused.
+func TestRearm(t *testing.T) {
+	s := New()
+	var order []string
+	e := s.At(1, func() { order = append(order, "e") })
+	s.RunAll(10)
+	s.At(4, func() { order = append(order, "before") })
+	s.Rearm(e, 4)
+	s.At(4, func() { order = append(order, "after") })
+	if !s.Reschedule(e, 5) {
+		t.Fatal("re-armed event is not pending")
+	}
+	s.Reschedule(e, 4) // back to 4, now behind "after"
+	s.RunAll(10)
+	if want := "e before after e"; fmt.Sprint(order) != "["+want+"]" {
+		t.Fatalf("order = %v, want [%s]", order, want)
+	}
+	s.Cancel(e) // no-op on a fired event
+	c := s.At(6, func() { order = append(order, "c") })
+	s.Cancel(c)
+	s.Rearm(c, 7)
+	s.RunAll(10)
+	if order[len(order)-1] != "c" || s.Now() != 7 {
+		t.Fatalf("cancelled-then-re-armed event: order %v at %v", order, s.Now())
+	}
+	for _, bad := range []struct {
+		name string
+		fn   func()
+	}{
+		{"pending", func() { s.Rearm(s.At(9, func() {}), 10) }},
+		{"nil", func() { s.Rearm(nil, 10) }},
+		{"past", func() { s.Rearm(c, 1) }},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Rearm of a %s event did not panic", bad.name)
+				}
+			}()
+			bad.fn()
+		}()
 	}
 }
 
