@@ -11,6 +11,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/gpusim"
@@ -131,6 +132,38 @@ func TestE2EAllocsPerRequestSteadyState(t *testing.T) {
 	t.Logf("%.1f allocs/request (ceiling %d)", perReq, e2eAllocCeiling)
 	if perReq > e2eAllocCeiling {
 		t.Errorf("%.1f allocs/request, ceiling %d", perReq, e2eAllocCeiling)
+	}
+}
+
+// clusterAllocCeiling bounds the heap allocations per request of a
+// 300-request AzureCode run on four round-robin Bullet replicas, about
+// 10% above the measured value. Only ever lower it: a rise means the
+// router's window or pump path started allocating again.
+const clusterAllocCeiling = 155
+
+// TestClusterAllocsPerRequestSteadyState is the cluster's end-to-end
+// allocation ceiling: windows advance replicas inline without a fork,
+// and the pump re-arms one event instead of allocating a handle per
+// window.
+func TestClusterAllocsPerRequestSteadyState(t *testing.T) {
+	const n = 300
+	trace := workload.Generate(workload.AzureCode, 10, n, 1)
+	spec, cfg := experiments.Platform()
+	env := serving.NewEnv(spec, cfg, "azure-code")
+	// New builds every replica, so the estimator fit runs outside the
+	// measured run.
+	c := cluster.New(env, cluster.Config{Replicas: 4, Policy: cluster.RoundRobin, Options: core.Options{Mode: core.ModeFull}})
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res := env.Run(c, trace)
+	runtime.ReadMemStats(&after)
+	if len(res.Requests) != n {
+		t.Fatalf("%d of %d requests completed", len(res.Requests), n)
+	}
+	perReq := float64(after.Mallocs-before.Mallocs) / n
+	t.Logf("%.1f allocs/request (ceiling %d)", perReq, clusterAllocCeiling)
+	if perReq > clusterAllocCeiling {
+		t.Errorf("%.1f allocs/request, ceiling %d", perReq, clusterAllocCeiling)
 	}
 }
 

@@ -98,7 +98,9 @@ fi
 step "concurrency contract: -race smoke over forkjoin + cluster"
 # The harness and its proving ground, run standalone under the race
 # detector (on top of the whole-module -race pass above) so a contract
-# regression names the guilty package directly.
+# regression names the guilty package directly. The cluster itself
+# advances replicas inline; its tests here pin that the worker count
+# never reaches the output.
 go test -race -count=1 ./internal/forkjoin ./internal/cluster
 
 step "concurrency contract: serial vs parallel cluster sweep, byte diff"
@@ -247,10 +249,10 @@ step "allocation contract: steady-state AllocsPerRun pins"
 # disabled-timeline call sites, the water-filling re-rate, partition
 # rebuilds, pressure gates, and in-place percentiles must allocate
 # nothing at steady state; the After handle and per-request KV sequence
-# header are pinned at exactly one, and a whole single-replica run stays
-# under its allocations-per-request ceiling. Run the pins explicitly so
-# an allocation regression fails CI by name even if the broader test
-# pass is trimmed.
+# header are pinned at exactly one, and whole runs on one replica and
+# on a four-replica cluster stay under their allocations-per-request
+# ceilings. Run the pins explicitly so an allocation regression fails
+# CI by name even if the broader test pass is trimmed.
 go test -count=1 -run 'ZeroAlloc|OneAlloc|SteadyState' .
 
 step "allocation contract: bulletlint -rules hotalloc smoke"

@@ -5,29 +5,36 @@
 // each GPU with spatial-temporal orchestration — and lets both answers
 // compose (a cluster of Bullet instances).
 //
-// # Parallel-deterministic replica advancement
+// # Deterministic replica advancement
 //
 // Each replica owns a private sim.Simulation; the router's outer clock
 // carries only the decision points (arrivals, fault events, recoveries,
 // and a drain pump). Replicas interact with each other exclusively
 // through the router, so between two consecutive decision points every
 // replica can advance independently — the Revati-style conservative
-// window. Advancement runs through the internal/forkjoin harness:
+// window. The cluster advances every replica inline on the coordinator,
+// in slot order. In continuous virtual time replica events almost never
+// coincide, so a window has at most one replica with work due and a
+// fork would only move idle clocks (DESIGN.md §11 records the measured
+// split); the replicas are still kept isolated, so a fork can return
+// once windows widen:
 //
-//   - each fork task advances exactly one replica (index-addressed, no
-//     shared writes — machine-checked by bulletlint's replicaisolation
-//     analyzer);
+//   - advancing a replica touches only that replica's state;
 //   - completions and sheds produced inside the window are buffered in
 //     the owning replica's outbox, never pushed to shared state;
-//   - at the join, outboxes merge in deterministic (time, replica slot,
-//     intra-replica order) order before touching router state.
+//   - after the window, outboxes merge in deterministic (time, replica
+//     slot, intra-replica order) order before touching router state.
 //
-// The output is therefore a pure function of (trace, seed, config):
-// byte-identical whether replicas advance serially or on GOMAXPROCS
-// workers, which ci.sh pins with a GOMAXPROCS=1-vs-4 byte-diff gate and
-// cluster_test.go pins per worker count under -race. Attaching a
-// timeline recorder forces serial advancement so the shared trace keeps
-// one deterministic event order.
+// The output is therefore a pure function of (trace, seed, config).
+// Config.Workers has no effect on it, which ci.sh pins with a
+// GOMAXPROCS=1-vs-4 byte-diff gate and cluster_test.go pins per worker
+// count. A panic inside a replica propagates unwrapped from the window
+// that raised it; replicas later in slot order are not advanced.
+//
+// The outer clock reaches replica progress through one pump event, at
+// the earliest pending replica event. The cluster allocates it once and
+// then only moves it (Reschedule) or re-arms it (sim.Rearm), so a window
+// costs no allocation.
 package cluster
 
 import (
@@ -68,10 +75,9 @@ type Config struct {
 	Policy   Policy
 	// Options configure each replica's Bullet instance.
 	Options core.Options
-	// Workers bounds the fork/join parallelism of replica advancement:
-	// 0 uses the forkjoin default (GOMAXPROCS, capped), 1 forces the
-	// serial path. By the isolation contract the value never changes
-	// results, only wall-clock time.
+	// Workers is accepted for compatibility and has no effect: replicas
+	// advance inline (see the package comment). It must not be
+	// negative.
 	Workers int
 	// Resilience arms the router-tier protections of DESIGN.md §16
 	// (circuit breakers, dispatch timeouts, hedged re-dispatch, token
@@ -87,7 +93,7 @@ func DefaultConfig() Config {
 }
 
 // outcome is one completion or shed buffered in a replica's outbox while
-// the replica advances inside a fork/join window.
+// the replica advances inside a window.
 type outcome struct {
 	at     sim.Time // replica virtual time at delivery
 	done   metrics.Request
@@ -126,17 +132,15 @@ type replica struct {
 	// that fails over when it crashes.
 	live map[string]workload.Request
 	// outbox buffers completions and sheds produced while this replica
-	// advances inside a fork/join window; the router drains it at the
-	// join in deterministic merge order. Only this replica's own event
-	// loop appends to it — the isolation the replicaisolation analyzer
-	// enforces at fork sites.
+	// advances inside a window; the router drains it after the window
+	// in deterministic merge order. Only this replica's own event loop
+	// appends to it.
 	outbox []outcome
 }
 
 // advance runs this replica's private simulation up to horizon t,
 // buffering every completion and shed into the outbox. It touches no
-// state outside the replica, so the cluster may advance all replicas
-// concurrently.
+// state outside the replica.
 func (r *replica) advance(t sim.Time) {
 	r.env.Sim.Run(t)
 }
@@ -152,6 +156,8 @@ type Cluster struct {
 	// pump is the outer-clock event that re-advances replicas between
 	// router decision points, scheduled at the earliest pending replica
 	// event so replica progress keeps flowing into the outer run loop.
+	// One handle serves the cluster's whole lifetime: moved while
+	// pending, re-armed once it has fired or been cancelled.
 	pump *sim.Event
 
 	// wcfg is non-nil once AttachFaults armed resilience; restarted
@@ -176,9 +182,7 @@ type Cluster struct {
 	recoveryTime units.Seconds
 
 	// tl is the root recorder attached by AttachTimeline; each replica
-	// records through a per-replica scoped view of it. Non-nil forces
-	// serial advancement so the shared trace stays deterministically
-	// ordered.
+	// records through a per-replica scoped view of it.
 	tl *timeline.Recorder
 
 	// merge is the outbox-merge scratch, resliced to zero length on every
@@ -227,7 +231,7 @@ func (c *Cluster) newReplica(idx int) *replica {
 	if opts.Backend == gpusim.BackendSampled {
 		// Decorrelate the replicas' sampled-latency draw streams the
 		// forkjoin way: a per-replica splitmix fork of the base seed,
-		// identical whether replicas advance serially or in parallel.
+		// independent of the order replicas advance in.
 		seed := opts.BackendSeed
 		if seed == 0 {
 			seed = 1
@@ -246,8 +250,8 @@ func (c *Cluster) newReplica(idx int) *replica {
 // AttachTimeline threads a recorder through the cluster: each replica
 // (including ones restarted after a crash) records through a scoped view
 // tagged with its slot, and router-level crash/recovery instants land on
-// the root "cluster" lane. A shared trace needs one deterministic event
-// order, so attaching a recorder forces serial replica advancement.
+// the root "cluster" lane. Replicas advance inline in slot order, so the
+// shared trace has one deterministic event order.
 func (c *Cluster) AttachTimeline(rec *timeline.Recorder) {
 	c.tl = rec
 	for i, r := range c.replicas {
@@ -271,25 +275,16 @@ func (c *Cluster) Name() string {
 	return fmt.Sprintf("cluster-%dx-%s", c.cfg.Replicas, c.cfg.Policy)
 }
 
-// advanceWorkers returns the fork/join width for replica advancement:
-// serial with a timeline attached (one trace needs one order), the
-// configured bound otherwise (0 = forkjoin default).
-func (c *Cluster) advanceWorkers() int {
-	if c.tl != nil {
-		return 1
-	}
-	return c.cfg.Workers
-}
-
-// advanceTo forks one task per replica to advance every private clock to
-// horizon t, then joins and merges the buffered outcomes in
-// deterministic order. This is the only place replica state crosses back
-// into router state.
+// advanceTo moves every private clock to horizon t, inline and in slot
+// order, then merges the buffered outcomes in deterministic order. An
+// idle replica only moves its clock to t. This is the only place
+// replica state crosses back into router state.
+//
+//bullet:hotpath
 func (c *Cluster) advanceTo(t sim.Time) {
-	reps := c.replicas
-	forkjoin.Do(len(reps), c.advanceWorkers(), func(i int) {
-		reps[i].advance(t)
-	})
+	for _, r := range c.replicas {
+		r.advance(t)
+	}
 	c.mergeOutboxes()
 }
 
@@ -320,8 +315,7 @@ func outboxKeyLess(a, b outboxKey) bool {
 
 // mergeOutboxes drains every replica outbox into the outer environment
 // in (time, replica slot, intra-replica order) order — a total order
-// independent of fork/join scheduling, so serial and parallel
-// advancement produce byte-identical results. Keys are collected into a
+// independent of the order replicas advanced in. Keys are collected into a
 // cluster-held scratch slice and insertion-sorted in place: windows are
 // short, so outboxes hold at most a handful of outcomes and the merge
 // must not allocate per window.
@@ -391,12 +385,18 @@ func (c *Cluster) applyOutcome(r *replica, o outcome) {
 }
 
 // schedulePump keeps the outer clock tethered to replica progress: one
-// rescheduled event at the earliest pending replica event. When it fires
-// the replicas advance to that horizon (processing, in parallel, every
-// replica event at it) and the pump re-arms at the next one. Without
-// pending replica events the pump stands down — the outer run loop then
-// correctly treats an idle cluster with outstanding requests as a
-// deadlock.
+// event at the earliest pending replica event. When it fires the
+// replicas advance to that horizon (processing every replica event at
+// it) and the pump re-arms at the next one. Without pending replica
+// events the pump stands down — the outer run loop then correctly
+// treats an idle cluster with outstanding requests as a deadlock.
+//
+// The handle is allocated on the first arming only: a pending pump is
+// moved with Reschedule, a fired or cancelled one is re-armed with
+// sim.Rearm. Each consumes one sequence number, as a fresh At would, so
+// the outer event order matches one new event per arming.
+//
+//bullet:hotpath
 func (c *Cluster) schedulePump() {
 	var at sim.Time
 	found := false
@@ -405,21 +405,22 @@ func (c *Cluster) schedulePump() {
 			at, found = t, true
 		}
 	}
-	if !found {
+	switch {
+	case !found:
 		c.outer.Sim.Cancel(c.pump)
-		c.pump = nil
-		return
+	case c.pump == nil:
+		//lint:ignore hotalloc the one pump handle of the cluster's lifetime; every later arming reuses it
+		c.pump = c.outer.Sim.At(at, c.onPump)
+	case !c.outer.Sim.Reschedule(c.pump, at):
+		c.outer.Sim.Rearm(c.pump, at)
 	}
-	if c.pump != nil && c.outer.Sim.Reschedule(c.pump, at) {
-		return
-	}
-	c.pump = c.outer.Sim.At(at, c.onPump)
 }
 
 // onPump is a router decision point with no decision: advance replicas
 // to the outer clock and re-arm.
+//
+//bullet:hotpath
 func (c *Cluster) onPump() {
-	c.pump = nil
 	c.advanceTo(c.outer.Sim.Now())
 	c.schedulePump()
 }

@@ -116,11 +116,12 @@ func DefaultConfigWith(o core.Options) Config {
 	return c
 }
 
-// TestSerialParallelByteIdentical pins the fork/join isolation contract
-// end to end: the full Result (every per-request record, GPU counters,
-// makespan) and the per-replica completion counts are byte-identical
-// whether replicas advance serially or on several workers. Run with
-// -race, this doubles as the data-race proof for the harness.
+// TestSerialParallelByteIdentical pins that the worker count never
+// reaches the output: the full Result (every per-request record, GPU
+// counters, makespan) and the per-replica completion counts are
+// byte-identical at every Workers value. Replicas advance inline today,
+// so this holds by construction; the test guards the contract for a
+// future parallel path.
 func TestSerialParallelByteIdentical(t *testing.T) {
 	ref, refCounts := func() (serving.Result, []int) {
 		cfg := Config{Replicas: 4, Policy: RoundRobin, Options: opts(), Workers: 1}

@@ -5,9 +5,10 @@
 //
 // Every piece of state here is mutated exclusively from outer-simulation
 // event handlers — Submit, fault callbacks, PostAfter timers, and the
-// deterministic outbox merge — never from inside a fork/join window, so
-// the serial ≡ parallel byte-identity contract of the cluster survives
-// intact (TestChaosSerialParallelIdentical pins it).
+// deterministic outbox merge — never from inside a replica window, so
+// replicas stay isolated from one another and the cluster's output
+// stays independent of Config.Workers (TestChaosSerialParallelIdentical
+// pins it).
 //
 // The state splits along the arming line:
 //

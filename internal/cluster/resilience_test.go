@@ -359,9 +359,8 @@ func TestChaosSerialParallelIdentical(t *testing.T) {
 // TestChaosTimelineRouterLane pins the timeline thread-through: every
 // router-tier mitigation emits its instant on the "router" lane — link
 // fault/restore, parked-dispatch timeout, blip hold, graceful drain and
-// readmit, bucket rejection, and hedge — in one composite scenario. A
-// recorder forces serial advancement, so this also exercises the armed
-// paths under the one-trace ordering.
+// readmit, bucket rejection, and hedge — in one composite scenario, so
+// this also exercises the armed paths under the one-trace ordering.
 func TestChaosTimelineRouterLane(t *testing.T) {
 	const n = 60
 	rcfg := resilience.DefaultConfig()
