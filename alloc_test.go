@@ -108,7 +108,7 @@ func newBulletEnv() (*serving.Env, *core.Bullet) {
 // 300-request ShareGPT run on one healthy Bullet replica, about 10%
 // above the measured value. Only ever lower it: a rise means a
 // per-event or per-request path started allocating again.
-const e2eAllocCeiling = 124
+const e2eAllocCeiling = 6
 
 // TestE2EAllocsPerRequestSteadyState is the end-to-end allocation
 // ceiling: the whole serving run, not one hot path, divided by the
@@ -139,7 +139,7 @@ func TestE2EAllocsPerRequestSteadyState(t *testing.T) {
 // 300-request AzureCode run on four round-robin Bullet replicas, about
 // 10% above the measured value. Only ever lower it: a rise means the
 // router's window or pump path started allocating again.
-const clusterAllocCeiling = 155
+const clusterAllocCeiling = 7
 
 // TestClusterAllocsPerRequestSteadyState is the cluster's end-to-end
 // allocation ceiling: windows advance replicas inline without a fork,
@@ -212,6 +212,8 @@ func TestTimelineEnabledSteadyState(t *testing.T) {
 func TestSchedDecideZeroAlloc(t *testing.T) {
 	s, st := benchScheduler()
 	pinAllocs(t, "sched decide", 0, func() { _ = s.Decide(st) })
+	backlog := backlogState()
+	pinAllocs(t, "sched decide backlog", 0, func() { _ = s.Decide(backlog) })
 }
 
 // TestSchedSortWaitingZeroAlloc pins the deadline reorder at zero: the

@@ -33,6 +33,7 @@ func BenchmarkHotPaths(b *testing.B) {
 	b.Run("sim/at-cancel", benchSimAtCancel)
 	b.Run("gpusim/launch-finish", benchGPULaunchFinish)
 	b.Run("sched/decide", benchSchedDecide)
+	b.Run("sched/decide-backlog", benchSchedDecideBacklog)
 	b.Run("sched/sort-waiting", benchSchedSortWaiting)
 	b.Run("resource/rebuild", benchResourceRebuild)
 	b.Run("resource/stream", benchResourceStream)
@@ -42,6 +43,7 @@ func BenchmarkHotPaths(b *testing.B) {
 	b.Run("kvcache/extend", benchKVExtend)
 	b.Run("pressure/admit", benchPressureAdmit)
 	b.Run("metrics/percentile", benchMetricsPercentile)
+	b.Run("metrics/p90", benchMetricsP90)
 	b.Run("qos/observe-decide", benchQoSObserve)
 }
 
@@ -150,6 +152,41 @@ func benchScheduler() (*sched.Scheduler, sched.State) {
 // water-filling re-rate that runs every scheduling cycle.
 func benchSchedDecide(b *testing.B) {
 	s, st := benchScheduler()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = s.Decide(st)
+	}
+}
+
+// backlogState returns benchScheduler's snapshot under a backlog: 32
+// waiting requests of mixed lengths that arrived seconds ago, and a
+// decode batch already past its TPOT target, so Algorithm 1 takes the
+// balance branch and predicts the whole queue at every SM level.
+func backlogState() sched.State {
+	_, st := benchScheduler()
+	st.Now = 12
+	st.Waiting = nil
+	for i := 0; i < 32; i++ {
+		st.Waiting = append(st.Waiting, sched.WaitingReq{
+			Arrival:     units.Seconds(1 + 0.25*float64(i)),
+			InputTokens: 64 + (i*389)%3000,
+		})
+	}
+	for i := range st.Decode.Elapsed {
+		st.Decode.Elapsed[i] = units.Seconds(11)
+	}
+	return st
+}
+
+// benchSchedDecideBacklog measures one Algorithm 1 evaluation over a
+// backlogged queue: the cycle whose cost grows with the number waiting.
+func benchSchedDecideBacklog(b *testing.B) {
+	s, _ := benchScheduler()
+	st := backlogState()
+	if d := s.Decide(st); d.Branch != "balance" {
+		b.Fatalf("backlog snapshot took the %q branch, want balance", d.Branch)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -294,6 +331,23 @@ func benchMetricsPercentile(b *testing.B) {
 	xs := make([]float64, 64)
 	for i := range xs {
 		xs[i] = float64((i * 37) % 64)
+	}
+	scratch := make([]float64, 0, len(xs))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		scratch = append(scratch[:0], xs...)
+		_ = metrics.PercentileInPlace(scratch, 0.9)
+	}
+}
+
+// benchMetricsP90 measures the P90 read over a 256-sample scratch of
+// mixed magnitudes with duplicates, the size of a backlogged
+// prediction: selection instead of a full sort.
+func benchMetricsP90(b *testing.B) {
+	xs := make([]float64, 256)
+	for i := range xs {
+		xs[i] = float64((i*7919)%97) * 1.5
 	}
 	scratch := make([]float64, 0, len(xs))
 	b.ReportAllocs()

@@ -2,10 +2,11 @@
 # ci.sh — the full verification gate, in dependency order: formatting,
 # vet, build, tests, race detector, the serial-vs-parallel concurrency
 # equivalence gate, the hot-path allocation contract (AllocsPerRun pins
-# + hotalloc lint), a short fuzz pass over the SM-mask set algebra, and
-# the bulletlint determinism contract (see DESIGN.md, "Determinism
-# contract", "Concurrency contract", and "Allocation contract"). Every
-# step must pass; the script stops at the first failure.
+# + hotalloc lint), short fuzz passes over the SM-mask set algebra, the
+# calibration parser and the selection percentile, and the bulletlint
+# determinism contract (see DESIGN.md, "Determinism contract",
+# "Concurrency contract", and "Allocation contract"). Every step must
+# pass; the script stops at the first failure.
 #
 # Usage: ./ci.sh            (or: make ci)
 set -euo pipefail
@@ -265,6 +266,9 @@ go test -run='^$' -fuzz=Fuzz -fuzztime=5s ./internal/smmask
 
 step "fuzz: calibration trace parser (5s)"
 go test -run='^$' -fuzz=FuzzCalibParse -fuzztime=5s ./internal/calib
+
+step "fuzz: selection percentile vs full sort (5s)"
+go test -run='^$' -fuzz=FuzzPercentileInPlace -fuzztime=5s ./internal/metrics
 
 step "bulletlint ./..."
 go run ./cmd/bulletlint ./...

@@ -38,8 +38,11 @@ type Buffer struct {
 	prefillSMs int
 	decodeSMs  int
 
-	progressWaiters []func()
-	kvWaiters       []func()
+	// One-shot subscribers. Each list swaps with its spare on publish, so
+	// subscribing and publishing reuse two backing arrays.
+	progressWaiters, progressSpare []func()
+	kvWaiters, kvSpare             []func()
+	freeHandoffs                   []*handoff
 
 	// Decisions counts scheduler decisions routed through the buffer.
 	Decisions int
@@ -121,12 +124,45 @@ func (b *Buffer) ExtraLatency() sim.Time { return b.extra }
 
 // Handoff migrates requests from prefill to decode after the metadata
 // latency. The KV cache does not move (shared pool); only metadata does.
+// The request list is copied, so the caller may reuse reqs at once.
 func (b *Buffer) Handoff(reqs []*Req, deliver func([]*Req)) {
 	if len(reqs) == 0 {
 		return
 	}
 	b.Handoffs += len(reqs)
-	b.sim.PostAfter(b.Latency+b.extra, func() { deliver(reqs) })
+	var h *handoff
+	if n := len(b.freeHandoffs); n > 0 {
+		h = b.freeHandoffs[n-1]
+		b.freeHandoffs[n-1] = nil
+		b.freeHandoffs = b.freeHandoffs[:n-1]
+	} else {
+		//lint:ignore hotalloc pool miss: handoffs recycle on delivery, so allocation stops at the peak number in flight
+		h = &handoff{b: b}
+		//lint:ignore hotalloc bound once per pooled handoff and reused for every delivery it carries
+		h.fireFn = h.fire
+	}
+	h.reqs = append(h.reqs[:0], reqs...)
+	h.deliver = deliver
+	b.sim.PostAfter(b.Latency+b.extra, h.fireFn)
+}
+
+// handoff is one in-flight migration, pooled by the buffer with its
+// delivery callback bound once.
+type handoff struct {
+	b       *Buffer
+	reqs    []*Req
+	deliver func([]*Req)
+	fireFn  func()
+}
+
+// fire delivers the migrated requests and recycles the handoff. The
+// receiver must not retain the slice (DecodeEngine.Accept copies it).
+func (h *handoff) fire() {
+	h.deliver(h.reqs)
+	clear(h.reqs)
+	h.reqs, h.deliver = h.reqs[:0], nil
+	//lint:ignore hotalloc free-list growth is bounded by the peak number of handoffs in flight
+	h.b.freeHandoffs = append(h.b.freeHandoffs, h)
 }
 
 // TransferKV moves a preempted sequence's saved KV bytes back to the
@@ -151,16 +187,15 @@ func (b *Buffer) TransferKV(payload units.Bytes, deliver func()) sim.Time {
 // OnPrefillProgress registers a one-shot callback fired at the next
 // prefill layer-group completion (used to resume paused decode).
 func (b *Buffer) OnPrefillProgress(fn func()) {
+	//lint:ignore hotalloc grows to the peak subscriber count; publishes swap it with its spare and keep both capacities
 	b.progressWaiters = append(b.progressWaiters, fn)
 }
 
 // PublishPrefillProgress wakes progress subscribers.
+//
+//bullet:hotpath
 func (b *Buffer) PublishPrefillProgress() {
-	ws := b.progressWaiters
-	b.progressWaiters = nil
-	for _, w := range ws {
-		b.sim.PostAfter(0, w)
-	}
+	b.publish(&b.progressWaiters, &b.progressSpare)
 }
 
 // OnKVRelease registers a one-shot callback fired when KV blocks free up
@@ -171,9 +206,18 @@ func (b *Buffer) OnKVRelease(fn func()) {
 
 // PublishKVRelease wakes KV subscribers.
 func (b *Buffer) PublishKVRelease() {
-	ws := b.kvWaiters
-	b.kvWaiters = nil
-	for _, w := range ws {
+	b.publish(&b.kvWaiters, &b.kvSpare)
+}
+
+// publish posts every subscriber in *ws as a zero-delay event and swaps
+// the emptied list with *spare: subscriptions made while the posted
+// callbacks run land in the spare, never in the list being drained.
+func (b *Buffer) publish(ws, spare *[]func()) {
+	fire := *ws
+	*ws = (*spare)[:0]
+	for i, w := range fire {
 		b.sim.PostAfter(0, w)
+		fire[i] = nil
 	}
+	*spare = fire[:0]
 }

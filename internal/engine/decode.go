@@ -87,6 +87,32 @@ type DecodeEngine struct {
 	// resliced to [:0] on every call (see Buffer.Snapshot).
 	elapsed   []units.Seconds
 	generated []int
+
+	// The in-flight step: its prediction, batch size and average context
+	// for the completion callback. One step chain runs at a time
+	// (inFlight guards it), so the state lives in fields.
+	inFlight  bool
+	predicted units.Seconds
+	stepBatch int
+	stepCtx   units.Tokens
+	kernels   []gpusim.Kernel
+
+	// cycleFn, stepFn and acceptFn are bound once so the iteration chain
+	// posts, launches and hands off without allocating; freePauses holds
+	// pause records whose two wake-ups have both fired.
+	cycleFn    func()
+	stepFn     func(gpusim.KernelRecord)
+	acceptFn   func([]*Req)
+	freePauses []*pauseRec
+}
+
+// pauseRec is one decode pause. It is woken by whichever fires first of
+// the next prefill progress and the failsafe timer, runs the cycle once,
+// and returns to the free list when both have fired.
+type pauseRec struct {
+	d       *DecodeEngine
+	pending int // wake-ups not yet fired, of two
+	wakeFn  func()
 }
 
 // NewDecodeEngine wires a decode engine.
@@ -96,6 +122,7 @@ func NewDecodeEngine(env *serving.Env, res *resource.Manager, schd *sched.Schedu
 		panic(fmt.Sprintf("engine: invalid decode config %+v", cfg))
 	}
 	d := &DecodeEngine{env: env, res: res, schd: schd, est: est, buf: buf, cfg: cfg}
+	d.cycleFn, d.stepFn, d.acceptFn = d.cycle, d.stepDone, d.Accept
 	buf.RegisterDecode(d.status)
 	return d
 }
@@ -240,6 +267,7 @@ func (d *DecodeEngine) Preempt(blocksNeeded int, after sim.Time) []*Req {
 			keepB = append(keepB, r)
 		}
 	}
+	clear(d.batch[len(keepB):])
 	d.batch = keepB
 	keepP := d.pending[:0]
 	for _, r := range d.pending {
@@ -247,6 +275,7 @@ func (d *DecodeEngine) Preempt(blocksNeeded int, after sim.Time) []*Req {
 			keepP = append(keepP, r)
 		}
 	}
+	clear(d.pending[len(keepP):])
 	d.pending = keepP
 	d.buf.PublishKVRelease()
 	return victims
@@ -306,11 +335,13 @@ func (d *DecodeEngine) decide() sched.Decision {
 }
 
 // cycle runs one decode iteration: admit, decide, (maybe pause), launch.
+//
+//bullet:hotpath
 func (d *DecodeEngine) cycle() {
 	if wait := d.stalledUntil - d.env.Sim.Now(); wait > 0 {
 		// The chain stays active (exactly one pending continuation) and
 		// resumes when the stall expires.
-		d.env.Sim.PostAfter(wait, d.cycle)
+		d.env.Sim.PostAfter(wait, d.cycleFn)
 		return
 	}
 	maxBatch := d.cfg.MaxBatch
@@ -331,9 +362,16 @@ func (d *DecodeEngine) cycle() {
 			d.pending[j+1] = r
 		}
 	}
-	for len(d.pending) > 0 && len(d.batch) < maxBatch {
-		d.batch = append(d.batch, d.pending[0])
-		d.pending = d.pending[1:]
+	joined := 0
+	for joined < len(d.pending) && len(d.batch) < maxBatch {
+		//lint:ignore hotalloc the batch keeps its capacity across steps (completions compact it in place)
+		d.batch = append(d.batch, d.pending[joined])
+		joined++
+	}
+	if joined > 0 {
+		k := copy(d.pending, d.pending[joined:])
+		clear(d.pending[k:])
+		d.pending = d.pending[:k]
 	}
 	if len(d.batch) == 0 {
 		d.active = false
@@ -346,67 +384,107 @@ func (d *DecodeEngine) cycle() {
 			d.TL.Instant("decode", "pause", d.env.Sim.Now(),
 				timeline.I("batch", len(d.batch)))
 		}
-		woken := false
-		wake := func() {
-			if woken {
-				return
-			}
-			woken = true
-			d.cycle()
-		}
 		// Resume at the next prefill layer-group sync, or after the
 		// failsafe bound, whichever first.
-		d.buf.OnPrefillProgress(wake)
-		d.env.Sim.PostAfter(d.cfg.MaxPause, wake)
+		pr := d.newPause()
+		d.buf.OnPrefillProgress(pr.wakeFn)
+		d.env.Sim.PostAfter(d.cfg.MaxPause, pr.wakeFn)
 		return
 	}
 
+	if d.inFlight {
+		panic(fmt.Sprintf("engine: decode step launched at t=%v while the step of batch %d is in flight",
+			d.env.Sim.Now(), d.stepBatch))
+	}
 	stream := d.res.Stream(resource.Decode, dec.DecodeSMs)
 	dm := stream.Mask().Count()
-	bs := len(d.batch)
-	ctx := d.avgCtx()
+	d.stepBatch = len(d.batch)
+	d.stepCtx = d.avgCtx()
 	colocated := true // conservatively assume overlap for the prediction
-	predicted := d.est.DecodeStepTime(bs, ctx, dm, colocated)
-	step := d.env.Model.DecodeStepKernel(bs, ctx, "decode")
-	d.env.GPU.Launch(stream, step, func(rec gpusim.KernelRecord) {
-		d.est.ObserveDecode(predicted, rec.Duration())
-		d.steps++
-		now := d.env.Sim.Now()
-		if d.OnStep != nil {
-			d.OnStep(now, bs, rec.Duration())
-		}
+	d.predicted = d.est.DecodeStepTime(d.stepBatch, d.stepCtx, dm, colocated)
+	var step gpusim.Kernel
+	step, d.kernels = d.env.Model.DecodeStepKernelScratch(d.kernels, d.stepBatch, d.stepCtx, "decode")
+	d.inFlight = true
+	d.env.GPU.Launch(stream, step, d.stepFn)
+}
+
+// stepDone completes the in-flight step: feedback, token accounting,
+// retirement of finished requests, and the next iteration after the
+// cycle overhead.
+//
+//bullet:hotpath
+func (d *DecodeEngine) stepDone(rec gpusim.KernelRecord) {
+	d.inFlight = false
+	bs := d.stepBatch
+	d.est.ObserveDecode(d.predicted, rec.Duration())
+	d.steps++
+	now := d.env.Sim.Now()
+	if d.OnStep != nil {
+		d.OnStep(now, bs, rec.Duration())
+	}
+	if d.QoS != nil {
+		// Feed the live TPOT signal: this step is the latency every
+		// batched request just paid per token.
+		d.QoS.ObserveStep(now, bs, rec.Duration(), d.env.KV.Occupancy())
+	}
+	if d.TL != nil {
+		d.TL.Span("decode", "step", rec.Start, rec.End,
+			timeline.I("batch", bs),
+			timeline.F("avgCtx", d.stepCtx.Float()))
+	}
+	kept := d.batch[:0]
+	released := false
+	for _, r := range d.batch {
+		r.Generated++
 		if d.QoS != nil {
-			// Feed the live TPOT signal: this step is the latency every
-			// batched request just paid per token.
-			d.QoS.ObserveStep(now, bs, rec.Duration(), d.env.KV.Occupancy())
+			d.QoS.AddDecode(r.Class)
 		}
-		if d.TL != nil {
-			d.TL.Span("decode", "step", rec.Start, rec.End,
-				timeline.I("batch", bs),
-				timeline.F("avgCtx", ctx.Float()))
+		if r.Generated >= r.W.OutputTokens {
+			r.Finish = now
+			r.ReleasePrefix()
+			d.env.KV.MustFree(r.Seq)
+			r.EmitLifecycle(d.TL)
+			d.env.Complete(r.Record())
+			released = true
+			continue
 		}
-		kept := d.batch[:0]
-		released := false
-		for _, r := range d.batch {
-			r.Generated++
-			if d.QoS != nil {
-				d.QoS.AddDecode(r.Class)
-			}
-			if r.Generated >= r.W.OutputTokens {
-				r.Finish = now
-				r.ReleasePrefix()
-				d.env.KV.MustFree(r.Seq)
-				r.EmitLifecycle(d.TL)
-				d.env.Complete(r.Record())
-				released = true
-				continue
-			}
-			kept = append(kept, r)
-		}
-		d.batch = kept
-		if released {
-			d.buf.PublishKVRelease()
-		}
-		d.env.Sim.PostAfter(d.cfg.CycleOverhead, d.cycle)
-	})
+		kept = append(kept, r)
+	}
+	clear(d.batch[len(kept):])
+	d.batch = kept
+	if released {
+		d.buf.PublishKVRelease()
+	}
+	d.env.Sim.PostAfter(d.cfg.CycleOverhead, d.cycleFn)
+}
+
+// newPause hands out a pause record armed for its two wake-ups.
+func (d *DecodeEngine) newPause() *pauseRec {
+	var pr *pauseRec
+	if n := len(d.freePauses); n > 0 {
+		pr = d.freePauses[n-1]
+		d.freePauses[n-1] = nil
+		d.freePauses = d.freePauses[:n-1]
+	} else {
+		//lint:ignore hotalloc pool miss: records recycle once both wake-ups fired, so allocation stops at the peak number in flight
+		pr = &pauseRec{d: d}
+		//lint:ignore hotalloc bound once per pooled record and reused for every pause it carries
+		pr.wakeFn = pr.wake
+	}
+	pr.pending = 2
+	return pr
+}
+
+// wake resumes the paused chain on the first of its two wake-ups and
+// recycles the record after the second.
+func (pr *pauseRec) wake() {
+	d := pr.d
+	first := pr.pending == 2
+	if pr.pending--; pr.pending == 0 {
+		//lint:ignore hotalloc free-list growth is bounded by the peak number of pauses in flight; steady state reuses capacity
+		d.freePauses = append(d.freePauses, pr)
+	}
+	if first {
+		d.cycle()
+	}
 }

@@ -2,10 +2,11 @@ package engine
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/estimator"
 	"repro/internal/gpusim"
+	"repro/internal/metrics"
 	"repro/internal/prefixcache"
 	"repro/internal/pressure"
 	"repro/internal/qos"
@@ -130,6 +131,35 @@ type PrefillEngine struct {
 	seqLens     []int
 	histLens    []int
 	kernels     []gpusim.Kernel
+	migrate     []*Req
+
+	// startFn and tryStartFn are the engine's own event callbacks, bound
+	// once so posting them allocates nothing; freeCycles holds cycle
+	// records whose continuations have all run.
+	startFn    func()
+	tryStartFn func()
+	freeCycles []*cycleRec
+}
+
+// cycleRec carries one scheduling cycle across its continuations: the
+// layer group's Synchronize, the cycle-overhead gap (or a stall) before
+// the next cycle, and the LM head's Synchronize. Its callbacks are method values bound once
+// when the record is made, so a cycle posts and synchronizes without
+// allocating. The epoch fences stale continuations after a watchdog
+// abort, and a record returns to the free list only after its last
+// continuation ran: a stale callback still pending on the GPU never reads
+// a newer batch's record.
+type cycleRec struct {
+	p         *PrefillEngine
+	epoch     int
+	start     sim.Time
+	predicted units.Seconds
+	group     int
+	stream    *gpusim.Stream
+
+	syncFn func()
+	nextFn func()
+	headFn func()
 }
 
 // NewPrefillEngine wires a prefill engine. Call SetDecode before use.
@@ -139,6 +169,8 @@ func NewPrefillEngine(env *serving.Env, res *resource.Manager, schd *sched.Sched
 		panic(fmt.Sprintf("engine: invalid prefill config %+v", cfg))
 	}
 	p := &PrefillEngine{env: env, res: res, schd: schd, est: est, buf: buf, cfg: cfg}
+	p.startFn = p.start
+	p.tryStartFn = p.tryStart
 	buf.RegisterPrefill(p.status)
 	return p
 }
@@ -155,14 +187,23 @@ func (p *PrefillEngine) SetPrefixCache(c *prefixcache.Cache) { p.prefix = c }
 // join the same prefill batch.
 func (p *PrefillEngine) Submit(r workload.Request) {
 	p.waiting = append(p.waiting, &Req{W: r, Class: qos.ClassOf(r.Tenant)})
+	p.scheduleStart()
+}
+
+// scheduleStart posts one deferred batch-formation attempt unless one is
+// already pending.
+func (p *PrefillEngine) scheduleStart() {
 	if p.startPending {
 		return
 	}
 	p.startPending = true
-	p.env.Sim.PostAfter(0, func() {
-		p.startPending = false
-		p.tryStart()
-	})
+	p.env.Sim.PostAfter(0, p.startFn)
+}
+
+// start is the deferred batch-formation event posted by scheduleStart.
+func (p *PrefillEngine) start() {
+	p.startPending = false
+	p.tryStart()
 }
 
 // QueueDepth returns the number of requests waiting for prefill.
@@ -245,6 +286,7 @@ func (p *PrefillEngine) ExtractWaiting() []workload.Request {
 	for i, r := range p.waiting {
 		out[i] = r.W
 	}
+	clear(p.waiting)
 	p.waiting = p.waiting[:0]
 	return out
 }
@@ -255,15 +297,8 @@ func (p *PrefillEngine) Requeue(reqs []*Req) {
 	if len(reqs) == 0 {
 		return
 	}
-	p.waiting = append(append([]*Req(nil), reqs...), p.waiting...)
-	if p.startPending {
-		return
-	}
-	p.startPending = true
-	p.env.Sim.PostAfter(0, func() {
-		p.startPending = false
-		p.tryStart()
-	})
+	p.waiting = slices.Insert(p.waiting, 0, reqs...)
+	p.scheduleStart()
 }
 
 // status is the buffer's prefill state provider. The returned slices
@@ -292,11 +327,7 @@ func (p *PrefillEngine) status() (sched.PrefillStatus, []sched.WaitingReq) {
 	}
 	p.waitingReqs = p.waitingReqs[:0]
 	for _, r := range p.waiting {
-		w := sched.WaitingReq{Arrival: r.W.Arrival, InputTokens: r.W.InputTokens}
-		if p.QoS != nil {
-			w.Weight = p.QoS.WeightOf(r.Class)
-		}
-		p.waitingReqs = append(p.waitingReqs, w)
+		p.waitingReqs = append(p.waitingReqs, p.waitingReq(r))
 	}
 	return ps, p.waitingReqs
 }
@@ -320,16 +351,7 @@ func (p *PrefillEngine) tryStart() {
 		// scheduler uses (Algorithm 1 line 7). With QoS the deadline is
 		// weighted: lower classes get their budget stretched, so under
 		// contention premium requests sort ahead.
-		slo := p.schd.SLO()
-		sort.SliceStable(p.waiting, func(i, j int) bool {
-			a := sched.WaitingReq{Arrival: p.waiting[i].W.Arrival, InputTokens: p.waiting[i].W.InputTokens}
-			b := sched.WaitingReq{Arrival: p.waiting[j].W.Arrival, InputTokens: p.waiting[j].W.InputTokens}
-			if p.QoS != nil {
-				a.Weight = p.QoS.WeightOf(p.waiting[i].Class)
-				b.Weight = p.QoS.WeightOf(p.waiting[j].Class)
-			}
-			return a.Deadline(slo) < b.Deadline(slo)
-		})
+		p.sortWaiting()
 	}
 	now := p.env.Sim.Now()
 	slo := p.schd.SLO()
@@ -341,8 +363,11 @@ func (p *PrefillEngine) tryStart() {
 			maxBatchTokens = b
 		}
 	}
-	for len(p.waiting) > 0 && len(p.batch) < p.cfg.MaxBatchReqs {
-		r := p.waiting[0]
+	// taken counts the head requests admitted or shed so far; they are
+	// cut from the queue in one compaction (dropWaiting) on the way out.
+	taken := 0
+	for taken < len(p.waiting) && len(p.batch) < p.cfg.MaxBatchReqs {
+		r := p.waiting[taken]
 		if len(p.batch) > 0 && p.batchTokens+r.W.InputTokens > maxBatchTokens {
 			break
 		}
@@ -351,16 +376,9 @@ func (p *PrefillEngine) tryStart() {
 			// do not grow the batch past any member's deadline.
 			grown := p.est.PrefillTotalTime(p.batchTokens+r.W.InputTokens, 0,
 				p.res.NumSMs(), true)
-			violates := false
-			for _, member := range append(p.batch, r) {
-				budget := units.FromMs(slo.NormTTFTMs * float64(member.W.InputTokens))
-				if p.QoS != nil {
-					budget = units.Over(budget, p.QoS.WeightOf(member.Class))
-				}
-				if (now-member.W.Arrival)+grown > budget {
-					violates = true
-					break
-				}
+			violates := p.missesDeadline(r, now, grown, slo)
+			for i := 0; i < len(p.batch) && !violates; i++ {
+				violates = p.missesDeadline(p.batch[i], now, grown, slo)
 			}
 			if violates {
 				break
@@ -388,7 +406,7 @@ func (p *PrefillEngine) tryStart() {
 			}
 			tier := p.Gate.AdmitPrio(now, r.W.ID, need, r.Deferrals, prio)
 			if tier == pressure.TierShed {
-				p.waiting = p.waiting[1:]
+				taken++
 				r.ReleasePrefix()
 				if p.OnGateShed != nil {
 					p.OnGateShed(r)
@@ -404,6 +422,8 @@ func (p *PrefillEngine) tryStart() {
 				// the halved class budgets burn at one cadence and shed
 				// best-effort strictly first regardless of queue position.
 				if p.QoS != nil {
+					p.dropWaiting(taken)
+					taken = 0
 					p.chargeWaiting(now)
 				}
 				// Arm the retry before raising pressure: the relief path
@@ -442,8 +462,9 @@ func (p *PrefillEngine) tryStart() {
 		r.CloseTrail(now) // seal an open preempted span (recompute path)
 		p.batch = append(p.batch, r)
 		p.batchTokens += r.NewTokens()
-		p.waiting = p.waiting[1:]
+		taken++
 	}
+	p.dropWaiting(taken)
 	if len(p.batch) == 0 {
 		return
 	}
@@ -460,6 +481,55 @@ func (p *PrefillEngine) tryStart() {
 			timeline.I("waiting", len(p.waiting)))
 	}
 	p.cycle()
+}
+
+// sortWaiting reorders pending requests by SLO deadline, the same key
+// the scheduler uses (Algorithm 1 line 7), by a stable in-place
+// insertion sort: the queue is admission-bounded and mostly sorted
+// already, and sort.SliceStable would allocate its closure per call.
+func (p *PrefillEngine) sortWaiting() {
+	slo := p.schd.SLO()
+	for i := 1; i < len(p.waiting); i++ {
+		r := p.waiting[i]
+		d := p.waitingReq(r).Deadline(slo)
+		j := i - 1
+		for j >= 0 && d < p.waitingReq(p.waiting[j]).Deadline(slo) {
+			p.waiting[j+1] = p.waiting[j]
+			j--
+		}
+		p.waiting[j+1] = r
+	}
+}
+
+// waitingReq is r as the scheduler sees it in the waiting queue.
+func (p *PrefillEngine) waitingReq(r *Req) sched.WaitingReq {
+	w := sched.WaitingReq{Arrival: r.W.Arrival, InputTokens: r.W.InputTokens}
+	if p.QoS != nil {
+		w.Weight = p.QoS.WeightOf(r.Class)
+	}
+	return w
+}
+
+// missesDeadline reports whether r, batched into a prefill that finishes
+// grown from now, would exceed its (QoS-weighted) TTFT budget.
+func (p *PrefillEngine) missesDeadline(r *Req, now, grown units.Seconds, slo metrics.SLO) bool {
+	budget := units.FromMs(slo.NormTTFTMs * float64(r.W.InputTokens))
+	if p.QoS != nil {
+		budget = units.Over(budget, p.QoS.WeightOf(r.Class))
+	}
+	return (now-r.W.Arrival)+grown > budget
+}
+
+// dropWaiting removes the first n waiting requests by shifting the rest
+// down in place, clearing the vacated tail so popped requests (and their
+// KV sequences and trails) are not kept reachable by the backing array.
+func (p *PrefillEngine) dropWaiting(n int) {
+	if n == 0 {
+		return
+	}
+	k := copy(p.waiting, p.waiting[n:])
+	clear(p.waiting[k:])
+	p.waiting = p.waiting[:k]
 }
 
 // chargeWaiting charges one deferral round to every queued request
@@ -482,6 +552,7 @@ func (p *PrefillEngine) chargeWaiting(now units.Seconds) {
 		}
 		kept = append(kept, r)
 	}
+	clear(p.waiting[len(kept):])
 	p.waiting = kept
 }
 
@@ -528,17 +599,14 @@ func (p *PrefillEngine) decide() sched.Decision {
 
 // cycle launches one layer group and schedules the next cycle at its
 // completion (the sync point that gives real-time progress perception).
+//
+//bullet:hotpath
 func (p *PrefillEngine) cycle() {
 	if !p.running {
 		return
 	}
 	if wait := p.stalledUntil - p.env.Sim.Now(); wait > 0 {
-		ep := p.epoch
-		p.env.Sim.PostAfter(wait, func() {
-			if p.epoch == ep && p.running {
-				p.cycle()
-			}
-		})
+		p.env.Sim.PostAfter(wait, p.newCycle().nextFn)
 		return
 	}
 	d := p.decide()
@@ -555,8 +623,11 @@ func (p *PrefillEngine) cycle() {
 		p.histLens = append(p.histLens, r.PrefixHit)
 	}
 	colocated := p.dec != nil && p.dec.BatchSize() > 0
-	predicted := units.Scale(p.est.PrefillLayerTime(p.batchTokens, 0, pm, colocated), float64(group))
-	start := p.env.Sim.Now()
+	c := p.newCycle()
+	c.predicted = units.Scale(p.est.PrefillLayerTime(p.batchTokens, 0, pm, colocated), float64(group))
+	c.start = p.env.Sim.Now()
+	c.group = group
+	c.stream = stream
 	// Every layer of the group launches the same kernels: build the list
 	// once per cycle.
 	p.kernels = p.env.Model.AppendPrefillBatchLayerKernels(p.kernels[:0], p.seqLens, p.histLens, "prefill")
@@ -565,77 +636,126 @@ func (p *PrefillEngine) cycle() {
 			p.env.GPU.Launch(stream, k, nil)
 		}
 	}
-	ep := p.epoch
-	p.env.GPU.Synchronize(stream, func() {
-		if p.epoch != ep {
-			return // batch aborted while its kernels drained
-		}
-		actual := p.env.Sim.Now() - start
-		p.est.ObservePrefill(units.Over(predicted, float64(group)), units.Over(actual, float64(group)))
-		p.layersDone += group
-		p.buf.PublishPrefillProgress()
-		if p.layersDone >= p.env.Model.NumLayers {
-			p.finishBatch(stream)
-			return
-		}
-		p.env.Sim.PostAfter(p.cfg.CycleOverhead, func() {
-			if p.epoch == ep {
-				p.cycle()
-			}
-		})
-	})
+	p.env.GPU.Synchronize(stream, c.syncFn)
 }
 
-// finishBatch runs the LM head, emits first tokens, and migrates requests
-// to the decode engine through the metadata buffer (copy-free: the KV
-// sequences merely change owner).
-func (p *PrefillEngine) finishBatch(stream *gpusim.Stream) {
-	head := p.env.Model.LMHeadKernel(len(p.batch), "prefill")
-	p.env.GPU.Launch(stream, head, nil)
-	ep := p.epoch
-	p.env.GPU.Synchronize(stream, func() {
-		if p.epoch != ep {
-			return // batch aborted while the LM head drained
+// newCycle hands out a cycle record stamped with the current epoch, from
+// the free list when one is there.
+func (p *PrefillEngine) newCycle() *cycleRec {
+	var c *cycleRec
+	if n := len(p.freeCycles); n > 0 {
+		c = p.freeCycles[n-1]
+		p.freeCycles[n-1] = nil
+		p.freeCycles = p.freeCycles[:n-1]
+	} else {
+		//lint:ignore hotalloc pool miss: records recycle after their last continuation, so allocation stops at the peak number in flight
+		c = &cycleRec{p: p}
+		//lint:ignore hotalloc bound once per pooled record and reused for every cycle it carries
+		c.syncFn, c.nextFn, c.headFn = c.synced, c.next, c.headDone
+	}
+	c.epoch = p.epoch
+	return c
+}
+
+// release returns a record whose last continuation has run.
+func (p *PrefillEngine) release(c *cycleRec) {
+	c.stream = nil
+	//lint:ignore hotalloc free-list growth is bounded by the peak number of records in flight; steady state reuses capacity
+	p.freeCycles = append(p.freeCycles, c)
+}
+
+// synced runs when the cycle's layer group has drained: it feeds the
+// estimator, publishes progress, and either finishes the batch or waits
+// out the cycle overhead before the next cycle.
+//
+//bullet:hotpath
+func (c *cycleRec) synced() {
+	p := c.p
+	if p.epoch != c.epoch {
+		p.release(c) // batch aborted while its kernels drained
+		return
+	}
+	actual := p.env.Sim.Now() - c.start
+	p.est.ObservePrefill(units.Over(c.predicted, float64(c.group)), units.Over(actual, float64(c.group)))
+	p.layersDone += c.group
+	p.buf.PublishPrefillProgress()
+	if p.layersDone >= p.env.Model.NumLayers {
+		// Run the LM head on the same stream; headDone emits the first
+		// tokens.
+		p.env.GPU.Launch(c.stream, p.env.Model.LMHeadKernel(len(p.batch), "prefill"), nil)
+		p.env.GPU.Synchronize(c.stream, c.headFn)
+		return
+	}
+	p.env.Sim.PostAfter(p.cfg.CycleOverhead, c.nextFn)
+}
+
+// next starts the following cycle once the overhead (or a stall) has
+// elapsed, unless the batch was aborted meanwhile.
+//
+//bullet:hotpath
+func (c *cycleRec) next() {
+	p := c.p
+	ep := c.epoch
+	p.release(c)
+	if p.epoch == ep {
+		p.cycle()
+	}
+}
+
+// headDone emits first tokens and migrates requests to the decode engine
+// through the metadata buffer (copy-free: the KV sequences merely change
+// owner).
+//
+//bullet:hotpath
+func (c *cycleRec) headDone() {
+	p := c.p
+	stale := p.epoch != c.epoch
+	p.release(c)
+	if stale {
+		return // batch aborted while the LM head drained
+	}
+	now := p.env.Sim.Now()
+	if p.TL != nil {
+		p.TL.Span("prefill", "batch", p.batchStart, now,
+			timeline.I("tokens", p.batchTokens),
+			timeline.I("reqs", len(p.batch)))
+	}
+	p.migrate = p.migrate[:0]
+	for _, r := range p.batch {
+		r.FirstToken = now
+		r.Generated = 1
+		if p.QoS != nil {
+			// Per-class token conservation: every computed prefill
+			// token lands in exactly one class bucket.
+			p.QoS.AddPrefill(r.Class, r.NewTokens())
 		}
-		now := p.env.Sim.Now()
-		if p.TL != nil {
-			p.TL.Span("prefill", "batch", p.batchStart, now,
-				timeline.I("tokens", p.batchTokens),
-				timeline.I("reqs", len(p.batch)))
+		// A freshly computed shared prefix becomes reusable for
+		// later requests of the same group.
+		if p.prefix != nil && r.W.PrefixGroup != "" && r.PrefixHit == 0 {
+			p.prefix.Insert(r.W.PrefixGroup, r.W.PrefixTokens)
 		}
-		var migrate []*Req
-		for _, r := range p.batch {
-			r.FirstToken = now
-			r.Generated = 1
-			if p.QoS != nil {
-				// Per-class token conservation: every computed prefill
-				// token lands in exactly one class bucket.
-				p.QoS.AddPrefill(r.Class, r.NewTokens())
-			}
-			// A freshly computed shared prefix becomes reusable for
-			// later requests of the same group.
-			if p.prefix != nil && r.W.PrefixGroup != "" && r.PrefixHit == 0 {
-				p.prefix.Insert(r.W.PrefixGroup, r.W.PrefixTokens)
-			}
-			if r.Generated >= r.W.OutputTokens {
-				r.Finish = now
-				r.ReleasePrefix()
-				p.env.KV.MustFree(r.Seq)
-				r.EmitLifecycle(p.TL)
-				p.env.Complete(r.Record())
-				p.buf.PublishKVRelease()
-				continue
-			}
-			r.Seq.Transfer("decode")
-			migrate = append(migrate, r)
+		if r.Generated >= r.W.OutputTokens {
+			r.Finish = now
+			r.ReleasePrefix()
+			p.env.KV.MustFree(r.Seq)
+			r.EmitLifecycle(p.TL)
+			p.env.Complete(r.Record())
+			p.buf.PublishKVRelease()
+			continue
 		}
-		p.batch = nil
-		p.batchTokens = 0
-		p.running = false
-		if p.dec == nil && len(migrate) > 0 {
+		r.Seq.Transfer("decode")
+		p.migrate = append(p.migrate, r)
+	}
+	clear(p.batch)
+	p.batch = p.batch[:0]
+	p.batchTokens = 0
+	p.running = false
+	if len(p.migrate) > 0 {
+		if p.dec == nil {
 			panic("engine: no decode engine attached")
 		}
-		p.buf.Handoff(migrate, p.dec.Accept)
-		p.env.Sim.PostAfter(p.cfg.CycleOverhead, p.tryStart)
-	})
+		p.buf.Handoff(p.migrate, p.dec.acceptFn)
+		clear(p.migrate)
+	}
+	p.env.Sim.PostAfter(p.cfg.CycleOverhead, p.tryStartFn)
 }

@@ -219,6 +219,8 @@ func (r *Req) EmitLifecycle(tl *timeline.Recorder) {
 // named after the branch taken plus an allocation counter. The P90
 // predictions the decision was based on are attached only when finite
 // (the scheduler reports NaN when it had no candidates to predict).
+//
+//bullet:hotpath-ignore runs only with a timeline recorder attached, which allocates its export by design
 func emitDecision(tl *timeline.Recorder, now sim.Time, d sched.Decision) {
 	args := make([]timeline.Arg, 0, 5)
 	args = append(args,

@@ -57,11 +57,44 @@ type Estimator struct {
 	// feedbackOff freezes the online corrections (ablation switch).
 	feedbackOff bool
 
-	// ks is the kernel-list scratch buffer PrefillLayerTime rebuilds
-	// each call; predictions run many times per scheduling cycle and
-	// must not allocate per call.
+	// ks is the kernel-list scratch buffer the uncached predictions
+	// rebuild; predictions run many times per scheduling cycle and must
+	// not allocate per call.
 	ks []gpusim.Kernel
+
+	// prefillMemo caches the raw (uncorrected) per-layer prefill sum by
+	// packed (newTokens, histTokens, sms, colocated) key, direct-mapped
+	// and allocated on first use; lmHeadMemo caches the raw LM-head row
+	// time by (sms, colocated). Entries never go stale: cfg, spec and
+	// params are fixed at New, and the online corrections are applied
+	// after the lookup.
+	prefillMemo []prefillMemoEntry
+	lmHeadMemo  []units.Seconds
+
+	// decodeStep is the aggregated decode-step kernel for (decodeBatch,
+	// decodeCtx): it does not depend on the SM count, so the scheduler's
+	// per-level probes of one snapshot share it.
+	decodeStep  gpusim.Kernel
+	decodeBatch int
+	decodeCtx   units.Tokens
 }
+
+// prefillMemoEntry is one slot of the prefill memo. A zero key marks an
+// empty slot: packed keys always carry newTokens ≥ 1.
+type prefillMemoEntry struct {
+	key uint64
+	raw units.Seconds
+}
+
+// prefillMemoBits sizes the direct-mapped prefill memo (1<<bits slots of
+// 16 bytes). A collision only costs a recomputation.
+const prefillMemoBits = 13
+
+// Packed-key field widths: keys outside them take the uncached path.
+const (
+	memoTokenBits = 24
+	memoSMBits    = 10
+)
 
 const (
 	corrAlpha = 0.3
@@ -119,12 +152,56 @@ func (e *Estimator) kernelTime(k gpusim.Kernel, m int, colocated bool) units.Sec
 //
 //bullet:hotpath
 func (e *Estimator) PrefillLayerTime(newTokens, histTokens, sms int, colocated bool) units.Seconds {
+	return units.Scale(e.rawPrefillLayer(newTokens, histTokens, sms, colocated), e.prefillCorr)
+}
+
+// rawPrefillLayer is the uncorrected Equation 2 sum over one prefill
+// layer's kernels, served from the memo when the key packs. Invalid
+// arguments (newTokens or sms ≤ 0) never pack, so they still reach the
+// panicking builders on every call.
+func (e *Estimator) rawPrefillLayer(newTokens, histTokens, sms int, colocated bool) units.Seconds {
+	key, ok := prefillKey(newTokens, histTokens, sms, colocated)
+	if !ok {
+		return e.sumPrefillLayer(newTokens, histTokens, sms, colocated)
+	}
+	if e.prefillMemo == nil {
+		//lint:ignore hotalloc lazily allocated once per estimator on its first prediction
+		e.prefillMemo = make([]prefillMemoEntry, 1<<prefillMemoBits)
+	}
+	slot := &e.prefillMemo[prefillSlot(key)]
+	if slot.key != key {
+		*slot = prefillMemoEntry{key: key, raw: e.sumPrefillLayer(newTokens, histTokens, sms, colocated)}
+	}
+	return slot.raw
+}
+
+// prefillKey packs a prefill prediction's arguments into a memo key,
+// reporting false when any field falls outside its width.
+func prefillKey(newTokens, histTokens, sms int, colocated bool) (uint64, bool) {
+	if newTokens <= 0 || newTokens >= 1<<memoTokenBits ||
+		histTokens < 0 || histTokens >= 1<<memoTokenBits ||
+		sms <= 0 || sms >= 1<<memoSMBits {
+		return 0, false
+	}
+	key := uint64(newTokens) | uint64(histTokens)<<memoTokenBits | uint64(sms)<<(2*memoTokenBits)
+	if colocated {
+		key |= 1 << (2*memoTokenBits + memoSMBits)
+	}
+	return key, true
+}
+
+// prefillSlot is a key's memo slot: the top bits of a Fibonacci hash.
+func prefillSlot(key uint64) uint64 { return (key * 0x9e3779b97f4a7c15) >> (64 - prefillMemoBits) }
+
+// sumPrefillLayer rebuilds one prefill layer's kernels and sums their
+// Equation 2 times.
+func (e *Estimator) sumPrefillLayer(newTokens, histTokens, sms int, colocated bool) units.Seconds {
 	e.ks = e.cfg.AppendPrefillLayerKernels(e.ks[:0], newTokens, histTokens, "")
 	t := units.Seconds(0)
 	for _, k := range e.ks {
 		t += e.kernelTime(k, sms, colocated)
 	}
-	return units.Scale(t, e.prefillCorr)
+	return t
 }
 
 // PrefillRemainingTime predicts the time to finish a prefill that still
@@ -140,7 +217,27 @@ func (e *Estimator) PrefillRemainingTime(newTokens, histTokens, layersLeft, sms 
 // head row for the first token).
 func (e *Estimator) PrefillTotalTime(newTokens, histTokens, sms int, colocated bool) units.Seconds {
 	t := e.PrefillRemainingTime(newTokens, histTokens, e.cfg.NumLayers, sms, colocated)
-	return t + units.Scale(e.kernelTime(e.cfg.LMHeadKernel(1, ""), sms, colocated), e.prefillCorr)
+	return t + units.Scale(e.rawLMHead(sms, colocated), e.prefillCorr)
+}
+
+// rawLMHead is the uncorrected time of the first token's LM-head row on
+// sms SMs, memoized per (sms, colocated) for sms within the device.
+func (e *Estimator) rawLMHead(sms int, colocated bool) units.Seconds {
+	if sms <= 0 || sms > e.spec.NumSMs {
+		return e.kernelTime(e.cfg.LMHeadKernel(1, ""), sms, colocated)
+	}
+	if e.lmHeadMemo == nil {
+		//lint:ignore hotalloc lazily allocated once per estimator on its first prediction
+		e.lmHeadMemo = make([]units.Seconds, 2*(e.spec.NumSMs+1))
+	}
+	i := 2 * sms
+	if colocated {
+		i++
+	}
+	if e.lmHeadMemo[i] <= 0 { // the row always has work, so 0 means empty
+		e.lmHeadMemo[i] = e.kernelTime(e.cfg.LMHeadKernel(1, ""), sms, colocated)
+	}
+	return e.lmHeadMemo[i]
 }
 
 // DecodeStepTime predicts one full decode iteration (all layers + LM head,
@@ -151,10 +248,13 @@ func (e *Estimator) DecodeStepTime(batch int, avgCtx units.Tokens, sms int, colo
 	if batch <= 0 {
 		return 0
 	}
-	k, ks := e.cfg.DecodeStepKernelScratch(e.ks, batch, avgCtx, "")
-	e.ks = ks
-	k.Efficiency = 0 // the estimator does not know device efficiencies
-	return units.Scale(e.kernelTime(k, sms, colocated), e.decodeCorr)
+	if batch != e.decodeBatch || math.Float64bits(avgCtx.Float()) != math.Float64bits(e.decodeCtx.Float()) {
+		k, ks := e.cfg.DecodeStepKernelScratch(e.ks, batch, avgCtx, "")
+		e.ks = ks
+		k.Efficiency = 0 // the estimator does not know device efficiencies
+		e.decodeStep, e.decodeBatch, e.decodeCtx = k, batch, avgCtx
+	}
+	return units.Scale(e.kernelTime(e.decodeStep, sms, colocated), e.decodeCorr)
 }
 
 // ObservePrefill feeds back an observed prefill-layer duration against the

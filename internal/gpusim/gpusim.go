@@ -435,6 +435,7 @@ func (g *GPU) Synchronize(st *Stream, fn func()) {
 		g.sim.PostAfter(0, fn)
 		return
 	}
+	//lint:ignore hotalloc the waiter list is resliced to [:0] when the stream drains, so its capacity is reused
 	st.waiters = append(st.waiters, fn)
 }
 

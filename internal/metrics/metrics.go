@@ -5,8 +5,10 @@
 package metrics
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"sort"
 
@@ -121,28 +123,105 @@ func Percentile[F ~float64](xs []F, p float64) F {
 	return PercentileInPlace(s, p)
 }
 
-// PercentileInPlace is Percentile without the defensive copy: it sorts
-// xs and therefore reorders the caller's slice. It exists for per-cycle
-// callers (the scheduler's SLO predictions) that reuse a scratch buffer
-// and cannot afford an allocation per call.
+// PercentileInPlace is Percentile without the defensive copy: it
+// partially orders xs by selection and therefore reorders the caller's
+// slice. It exists for per-cycle callers (the scheduler's SLO
+// predictions) that reuse a scratch buffer and cannot afford an
+// allocation, or a full sort, per call. The result is the value a full
+// slices.Sort would interpolate: the lo-th order statistic under the
+// cmp.Less order (NaNs first) by quickselect, and the lo+1-th as the
+// minimum of the tail the selection leaves above it.
 func PercentileInPlace[F ~float64](s []F, p float64) F {
 	if len(s) == 0 {
 		return F(math.NaN())
 	}
-	slices.Sort(s)
 	if p <= 0 {
-		return s[0]
+		return s[minIndex(s)]
 	}
 	if p >= 1 {
-		return s[len(s)-1]
+		return s[maxIndex(s)]
 	}
 	pos := p * float64(len(s)-1)
 	lo := int(pos)
 	frac := pos - float64(lo)
 	if lo+1 >= len(s) {
-		return s[len(s)-1]
+		return s[maxIndex(s)]
 	}
-	return F(float64(s[lo])*(1-frac) + float64(s[lo+1])*frac)
+	selectNth(s, lo)
+	next := s[lo+1+minIndex(s[lo+1:])]
+	return F(float64(s[lo])*(1-frac) + float64(next)*frac)
+}
+
+// selectNth reorders s so that s[n] holds the element a cmp.Less sort
+// would put there, with no element of s[:n] ordered after it and none of
+// s[n+1:] ordered before it. Quickselect with a median-of-three pivot
+// and a three-way partition (duplicates end the search at once); a run
+// of bad pivots falls back to sorting the remaining window.
+func selectNth[F ~float64](s []F, n int) {
+	lo, hi := 0, len(s)
+	for budget := 2 * bits.Len(uint(len(s))); hi-lo > 1; budget-- {
+		if budget == 0 {
+			slices.Sort(s[lo:hi])
+			return
+		}
+		a, b, c := s[lo], s[lo+(hi-lo)/2], s[hi-1]
+		if cmp.Less(b, a) {
+			a, b = b, a
+		}
+		if cmp.Less(c, b) {
+			b = c
+			if cmp.Less(b, a) {
+				b = a
+			}
+		}
+		pivot := b
+		// Dutch-flag partition of s[lo:hi]: [lo,lt) < pivot,
+		// [lt,i) == pivot, (gt,hi) > pivot.
+		lt, i, gt := lo, lo, hi-1
+		for i <= gt {
+			switch {
+			case cmp.Less(s[i], pivot):
+				s[lt], s[i] = s[i], s[lt]
+				lt++
+				i++
+			case cmp.Less(pivot, s[i]):
+				s[i], s[gt] = s[gt], s[i]
+				gt--
+			default:
+				i++
+			}
+		}
+		switch {
+		case n < lt:
+			hi = lt
+		case n > gt:
+			lo = gt + 1
+		default:
+			return
+		}
+	}
+}
+
+// minIndex returns the index of the first minimum of s under cmp.Less.
+func minIndex[F ~float64](s []F) int {
+	m := 0
+	for i := 1; i < len(s); i++ {
+		if cmp.Less(s[i], s[m]) {
+			m = i
+		}
+	}
+	return m
+}
+
+// maxIndex returns the index of the first maximum of s under cmp.Less.
+func maxIndex[F ~float64](s []F) int {
+	m := 0
+	for i := 1; i < len(s); i++ {
+		if cmp.Less(s[m], s[i]) {
+			m = i
+		}
+	}
+	return m
 }
 
 // Mean returns the arithmetic mean, NaN if empty. Like Percentile it is

@@ -100,6 +100,8 @@ func (c *Cache) Acquire(group string) (int, func()) {
 // evicting unpinned entries LRU if the pool is tight. Insert is a no-op
 // if the group is already cached or if space cannot be found; it returns
 // whether the prefix is now resident.
+//
+//bullet:hotpath-ignore runs once per finished prefill batch, and a new entry owns a pool sequence by design
 func (c *Cache) Insert(group string, tokens int) bool {
 	if group == "" || tokens <= 0 {
 		return false

@@ -6,6 +6,7 @@ package serving
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/gpusim"
 	"repro/internal/kvcache"
@@ -158,6 +159,9 @@ const maxEventsPerRequest = 200000
 // are outstanding (a deadlocked system is always a bug worth failing
 // loudly on).
 func (e *Env) Run(sys System, trace *workload.Trace) Result {
+	// Every trace request completes at most once: size the record list
+	// up front instead of regrowing it through the run.
+	e.completed = slices.Grow(e.completed, len(trace.Requests))
 	for _, r := range trace.Requests {
 		r := r
 		e.Sim.Post(r.Arrival, func() { sys.Submit(r) })
