@@ -1,12 +1,14 @@
 #!/usr/bin/env bash
 # ci.sh — the full verification gate, in dependency order: formatting,
-# vet, build, tests, race detector, the serial-vs-parallel concurrency
-# equivalence gate, the hot-path allocation contract (AllocsPerRun pins
-# + hotalloc lint), short fuzz passes over the SM-mask set algebra, the
-# calibration parser and the selection percentile, and the bulletlint
-# determinism contract (see DESIGN.md, "Determinism contract",
-# "Concurrency contract", and "Allocation contract"). Every step must
-# pass; the script stops at the first failure.
+# vet, build, the perfbench module's vet and tests, tests, race
+# detector, the -trace ≡ -trace-out check, the serial-vs-parallel
+# concurrency equivalence gate, the hot-path allocation contract
+# (AllocsPerRun pins + hotalloc lint), short fuzz passes over the
+# SM-mask set algebra, the calibration parser and the selection
+# percentile, and the bulletlint determinism contract (see DESIGN.md,
+# "Determinism contract", "Concurrency contract", and "Allocation
+# contract"). Every step must pass; the script stops at the first
+# failure.
 #
 # Usage: ./ci.sh            (or: make ci)
 set -euo pipefail
@@ -27,6 +29,13 @@ go vet ./...
 
 step "go build ./..."
 go build ./...
+
+step "perfbench module: go vet + go test"
+# perfbench/ is its own module over this one, so the module-wide steps
+# never compile it; vet and test it here so removing an exported hook
+# it uses fails CI, not the benchmark run. (vet/test, not build: go
+# build would leave a perfbench binary in the tree.)
+(cd perfbench && go vet ./... && go test ./...)
 
 step "go test -shuffle=on ./..."
 go test -shuffle=on ./...
@@ -95,6 +104,19 @@ if [[ "$samp_a" != "$samp_b" ]]; then
     diff <(echo "$samp_a") <(echo "$samp_b") >&2 || true
     exit 1
 fi
+
+step "one trace path: bulletsim -trace and -trace-out write identical files"
+# -trace is an alias of -trace-out: the same run flags must write the
+# same deterministic timeline Chrome JSON through either flag.
+trace_dir=$(mktemp -d)
+go run ./cmd/bulletsim -system bullet -dataset azure-code -rate 4 -n 60 -seed 11 -trace "$trace_dir/a.json" > /dev/null
+go run ./cmd/bulletsim -system bullet -dataset azure-code -rate 4 -n 60 -seed 11 -trace-out "$trace_dir/b.json" > /dev/null
+if ! cmp "$trace_dir/a.json" "$trace_dir/b.json"; then
+    echo "bulletsim: -trace and -trace-out wrote different files" >&2
+    rm -rf "$trace_dir"
+    exit 1
+fi
+rm -rf "$trace_dir"
 
 step "concurrency contract: -race smoke over forkjoin + cluster"
 # The harness and its proving ground, run standalone under the race

@@ -61,7 +61,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *traceOut != "" {
-		if err := writeTrace(*traceOut, *quick, stdout); err != nil {
+		// The representative scenario most tables share: bullet on
+		// azure-code at 4 req/s, seed 42.
+		n := 300
+		if *quick {
+			n = 100
+		}
+		if err := experiments.WriteTrace(stdout, *traceOut, "bullet", workload.AzureCode, 4, n, 42); err != nil {
 			fmt.Fprintln(stderr, "bulletbench:", err)
 			return 1
 		}
@@ -91,31 +97,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		runOne(id)
 	}
 	return 0
-}
-
-// writeTrace records the benchmark suite's representative scenario
-// (bullet on azure-code at 4 req/s, seed 42 — the workload most tables
-// share) with the timeline recorder attached and writes the
-// deterministic Chrome trace-event file.
-func writeTrace(path string, quick bool, stdout io.Writer) error {
-	n := 300
-	if quick {
-		n = 100
-	}
-	res, rec := experiments.RunOneTraced("bullet", workload.AzureCode, 4, n, 42, 0)
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := rec.WriteChrome(f); err != nil {
-		return err
-	}
-	fmt.Fprintf(stdout, "bullet on azure-code @ 4 req/s: %d requests, %.1fs makespan\n",
-		res.Summary.Requests, res.Makespan.Float())
-	fmt.Fprint(stdout, rec.Summary())
-	fmt.Fprintf(stdout, "wrote %s (open at ui.perfetto.dev)\n", path)
-	return nil
 }
 
 func known(id string) bool {

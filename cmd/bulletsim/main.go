@@ -6,7 +6,6 @@
 //	bulletsim -system bullet -dataset azure-code -rate 5 -n 300 -seed 42
 //	bulletsim -system sglang-1024 -dataset sharegpt -rate 16 -json
 //	bulletsim -system bullet -backend sampled       # pluggable latency model
-//	bulletsim -system bullet -trace out.trace.json   # chrome://tracing file
 //	bulletsim -system bullet -trace-out out.json     # deterministic timeline trace
 //	bulletsim -system bullet -faults -fault-rate 0.1 -fault-seed 7
 //	bulletsim -pressure -dataset azure-code -rate 4 -n 200
@@ -20,6 +19,11 @@
 // latency table, "hierarchy" adds L2 cache-reuse interference between
 // co-located kernels. Output is byte-identical across runs of the same
 // flags for every backend.
+//
+// With -trace-out (or its alias -trace) the run is recorded across every
+// layer (kernel spans, scheduling decisions, request lifecycles) and
+// written as a Chrome trace-event file, loadable at ui.perfetto.dev or
+// chrome://tracing; the same flags always write the same bytes.
 //
 // With -faults a deterministic fault schedule (SM degradations and
 // engine stalls at -fault-rate events/s each, seeded by -fault-seed) is
@@ -57,7 +61,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"strings"
 
 	"repro/bullet"
@@ -67,7 +70,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/prof"
 	"repro/internal/serving"
-	"repro/internal/trace"
 	"repro/internal/units"
 	"repro/internal/workload"
 )
@@ -90,7 +92,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		backend    = fs.String("backend", "", "per-kernel latency backend: analytic, sampled or hierarchy (Bullet systems only)")
 		bkSeed     = fs.Int64("backend-seed", 1, "sampled-backend draw seed")
 		asJSON     = fs.Bool("json", false, "emit the full result as JSON")
-		traceFile  = fs.String("trace", "", "write a Chrome trace-event file (Bullet systems only)")
 		traceOut   = fs.String("trace-out", "", "write a deterministic timeline trace (Perfetto-loadable Chrome JSON)")
 		withFault  = fs.Bool("faults", false, "inject a deterministic fault schedule (Bullet systems only)")
 		faultRate  = fs.Float64("fault-rate", 0.1, "SM-degradation and engine-stall rates, events/s of virtual time")
@@ -104,6 +105,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		cpuProf    = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf    = fs.String("memprofile", "", "write a post-GC heap profile to this file on exit")
 	)
+	fs.StringVar(traceOut, "trace", "", "alias of -trace-out")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -136,14 +138,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *traceOut != "" {
-		if err := runTimeline(*system, *dataset, *rate, *n, *seed, *traceOut, stdout); err != nil {
+		d, err := workload.ByName(*dataset)
+		if err != nil {
 			return fail(err)
 		}
-		return 0
-	}
-
-	if *traceFile != "" {
-		if err := runTraced(*system, *dataset, *rate, *n, *seed, *traceFile, stdout); err != nil {
+		if err := experiments.WriteTrace(stdout, *traceOut, *system, d, *rate, *n, *seed); err != nil {
 			return fail(err)
 		}
 		return 0
@@ -339,81 +338,5 @@ func runClusterSweep(dataset string, rate float64, n int, seed int64, workers in
 	}
 	rows := experiments.ExtClusterN(d, rate, n, seed, workers)
 	fmt.Fprint(stdout, experiments.RenderExtCluster(rows))
-	return nil
-}
-
-// runTimeline executes the run with the internal/timeline recorder
-// attached across every layer (kernels, scheduling decisions, request
-// lifecycles) and writes a deterministic Chrome trace-event file: the
-// same flags always produce a byte-identical trace, loadable at
-// ui.perfetto.dev or chrome://tracing.
-func runTimeline(system, dataset string, rate float64, n int, seed int64, path string, stdout io.Writer) error {
-	d, err := workload.ByName(dataset)
-	if err != nil {
-		return err
-	}
-	res, rec := experiments.RunOneTraced(system, d, rate, n, seed, 0)
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := rec.WriteChrome(f); err != nil {
-		return err
-	}
-	fmt.Fprintf(stdout, "system %s: %d requests, %.1fs makespan\n",
-		res.System, res.Summary.Requests, res.Makespan.Float())
-	fmt.Fprint(stdout, rec.Summary())
-	fmt.Fprintf(stdout, "wrote %s (open at ui.perfetto.dev)\n", path)
-	return nil
-}
-
-// runTraced executes the run with full kernel/decision tracing and writes
-// a Chrome trace-event file viewable at chrome://tracing or Perfetto.
-func runTraced(system, dataset string, rate float64, n int, seed int64, path string, stdout io.Writer) error {
-	spec, cfg := experiments.Platform()
-	d, err := workload.ByName(dataset)
-	if err != nil {
-		return err
-	}
-	env := serving.NewEnv(spec, cfg, dataset)
-
-	var rec trace.Recorder
-	rec.MaxEvents = 2_000_000
-	env.GPU.Trace = rec.KernelHook()
-
-	sys := experiments.NewSystem(system, env)
-	if b, ok := sys.(*core.Bullet); ok {
-		hook := rec.DecisionHook()
-		b.Prefill.OnDecision = hook
-		b.Decode.OnDecision = hook
-	}
-	env.OnComplete = func(m metrics.Request) {
-		rec.AddRequest(m.ID, m.Arrival, m.FirstToken, m.Finish, m.InputTokens, m.OutputTokens)
-	}
-	res := env.Run(sys, workload.Generate(d, rate, n, seed))
-
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := rec.WriteChromeTrace(f); err != nil {
-		return err
-	}
-	fmt.Fprintf(stdout, "system %s: %d requests, %.1fs makespan\n", res.System, res.Summary.Requests, res.Makespan)
-	sum := rec.Summary()
-	lanes := make([]string, 0, len(sum))
-	for lane := range sum {
-		lanes = append(lanes, lane)
-	}
-	sort.Strings(lanes)
-	for _, lane := range lanes {
-		fmt.Fprintf(stdout, "  lane %-10s %s\n", lane, sum[lane])
-	}
-	if rec.Dropped > 0 {
-		fmt.Fprintf(stdout, "  (%d events dropped past the %d-event cap)\n", rec.Dropped, rec.MaxEvents)
-	}
-	fmt.Fprintf(stdout, "wrote %s (open at chrome://tracing)\n", path)
 	return nil
 }

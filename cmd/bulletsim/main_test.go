@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -107,5 +108,46 @@ func TestBackendFlagValidation(t *testing.T) {
 	}
 	if !strings.Contains(errb.String(), "requires a Bullet variant") {
 		t.Errorf("stderr = %q, want Bullet-variant error", errb.String())
+	}
+}
+
+// TestTraceFlagsOnePath: -trace is an alias of -trace-out, so the same
+// run flags must write byte-identical, valid Chrome JSON through either
+// flag, and name the written file on stdout. A path in a missing
+// directory is an error, not a silent success.
+func TestTraceFlagsOnePath(t *testing.T) {
+	dir := t.TempDir()
+	write := func(flag, name string) []byte {
+		t.Helper()
+		path := filepath.Join(dir, name)
+		var out, errb bytes.Buffer
+		if code := run([]string{"-system", "bullet", "-n", "20", flag, path}, &out, &errb); code != 0 {
+			t.Fatalf("%s exit %d, want 0\nstderr: %s", flag, code, errb.String())
+		}
+		if !strings.Contains(out.String(), "wrote "+path) {
+			t.Errorf("%s stdout does not name %s:\n%s", flag, path, out.String())
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !json.Valid(data) {
+			t.Fatalf("%s wrote invalid JSON (%d bytes)", flag, len(data))
+		}
+		return data
+	}
+	a := write("-trace-out", "a.json")
+	b := write("-trace", "b.json")
+	if !bytes.Equal(a, b) {
+		t.Errorf("-trace-out and -trace traces differ (%d vs %d bytes)", len(a), len(b))
+	}
+
+	var out, errb bytes.Buffer
+	missing := filepath.Join(dir, "no-such-dir", "c.json")
+	if code := run([]string{"-system", "bullet", "-n", "20", "-trace-out", missing}, &out, &errb); code != 1 {
+		t.Fatalf("missing-directory trace exit %d, want 1", code)
+	}
+	if !strings.HasPrefix(errb.String(), "bulletsim: ") {
+		t.Errorf("stderr = %q, want a bulletsim: error", errb.String())
 	}
 }

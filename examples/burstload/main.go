@@ -14,6 +14,7 @@ import (
 	"strings"
 
 	"repro/internal/core"
+	"repro/internal/experiments"
 	"repro/internal/gpusim"
 	"repro/internal/metrics"
 	"repro/internal/model"
@@ -28,7 +29,8 @@ func main() {
 	flag.Parse()
 
 	env := serving.NewEnv(gpusim.A100(), model.Llama31_8B(), "azure-code")
-	sys := core.New(env, core.Options{Mode: core.ModeFull, RecordTimeline: true})
+	sys := core.New(env, core.Options{Mode: core.ModeFull})
+	tl := experiments.RecordSchedule(sys)
 	trace := workload.GenerateBursty(workload.AzureCode, *rate, 3, 8, *n, 42)
 	res := env.Run(sys, trace)
 
@@ -37,7 +39,6 @@ func main() {
 		1000*res.Summary.MeanTTFT, res.Summary.MeanTPOTMs,
 		100*res.Summary.SLOAttainment, sys.Decode.Pauses())
 
-	tl := sys.Timeline
 	const cols = 72
 	bar := func(s *metrics.Series, t units.Seconds, max float64, glyph byte) string {
 		v := s.At(t)

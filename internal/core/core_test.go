@@ -7,7 +7,9 @@ import (
 	"repro/internal/estimator"
 	"repro/internal/gpusim"
 	"repro/internal/model"
+	"repro/internal/sched"
 	"repro/internal/serving"
+	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -90,27 +92,63 @@ func TestUnknownModePanics(t *testing.T) {
 	New(env, Options{Mode: "nope", Params: estimator.DefaultParams()})
 }
 
+// TestTimelineRecording checks that observing a run through the engine
+// hooks (what the Fig. 12 timeline is built from) leaves it unchanged:
+// the hooks are pure observers.
 func TestTimelineRecording(t *testing.T) {
-	res := runBullet(t, ModeFull, workload.AzureCode, 3, 25, 11, Options{RecordTimeline: true})
-	_ = res
+	run := func(observe bool) serving.Result {
+		env := serving.NewEnv(gpusim.A100(), model.Llama31_8B(), "azure-code")
+		b := New(env, Options{Mode: ModeFull, Params: estimator.DefaultParams()})
+		if observe {
+			decide := func(sim.Time, sched.Decision) {}
+			b.Prefill.OnDecision = decide
+			b.Decode.OnDecision = decide
+			b.Prefill.OnBatchStart = func(sim.Time, int, int, int) {}
+		}
+		return b.RunTrace(workload.Generate(workload.AzureCode, 3, 25, 11))
+	}
+	plain, observed := run(false), run(true)
+	if observed.Summary.Requests != 25 {
+		t.Fatalf("completed %d/25 with hooks set", observed.Summary.Requests)
+	}
+	if plain.Summary != observed.Summary || plain.Makespan != observed.Makespan {
+		t.Fatalf("hooks changed the run:\n%+v\n%+v", plain.Summary, observed.Summary)
+	}
 }
 
+// TestTimelineSeriesPopulated checks that Bullet's engines report what
+// the Fig. 12 series are sampled from: every Algorithm 1 decision (with
+// its branch) and every prefill batch start, and that the prefill SM
+// allocation moves under load.
 func TestTimelineSeriesPopulated(t *testing.T) {
 	env := serving.NewEnv(gpusim.A100(), model.Llama31_8B(), "azure-code")
-	b := New(env, Options{Mode: ModeFull, RecordTimeline: true, Params: estimator.DefaultParams()})
-	trace := workload.Generate(workload.AzureCode, 3, 25, 11)
-	b.RunTrace(trace)
-	tl := b.Timeline
-	if tl.PrefillSMs.Len() == 0 || tl.DecodeSMs.Len() == 0 || tl.PrefillTokens.Len() == 0 {
-		t.Fatalf("timeline not recorded: %d/%d/%d samples",
-			tl.PrefillSMs.Len(), tl.DecodeSMs.Len(), tl.PrefillTokens.Len())
+	b := New(env, Options{Mode: ModeFull, Params: estimator.DefaultParams()})
+	var prefillSMs []float64
+	branches := map[string]int{}
+	batches := 0
+	decide := func(_ sim.Time, d sched.Decision) {
+		prefillSMs = append(prefillSMs, float64(d.PrefillSMs))
+		branches[d.Branch]++
 	}
-	if len(tl.Branches) == 0 {
-		t.Fatal("no scheduling branches recorded")
+	b.Prefill.OnDecision = decide
+	b.Decode.OnDecision = decide
+	b.Prefill.OnBatchStart = func(_ sim.Time, tokens, _, _ int) {
+		if tokens <= 0 {
+			t.Errorf("batch started with %d tokens", tokens)
+		}
+		batches++
+	}
+	b.RunTrace(workload.Generate(workload.AzureCode, 3, 25, 11))
+
+	if len(prefillSMs) == 0 || batches == 0 {
+		t.Fatalf("hooks not called: %d decisions, %d batch starts", len(prefillSMs), batches)
+	}
+	if len(branches) == 0 || branches[""] != 0 {
+		t.Fatalf("scheduling branches not reported: %v", branches)
 	}
 	// SM allocations must vary under dynamic provisioning at load.
 	minSM, maxSM := math.Inf(1), math.Inf(-1)
-	for _, v := range tl.PrefillSMs.V {
+	for _, v := range prefillSMs {
 		minSM = math.Min(minSM, v)
 		maxSM = math.Max(maxSM, v)
 	}

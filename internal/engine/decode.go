@@ -69,8 +69,6 @@ type DecodeEngine struct {
 
 	// OnDecision observes every scheduling decision.
 	OnDecision func(t sim.Time, d sched.Decision)
-	// OnStep observes each completed iteration.
-	OnStep func(t sim.Time, batch int, stepDur units.Seconds)
 
 	// QoS, when non-nil, is the SLO-feedback controller: it supplies the
 	// live decode batch cap (never above MaxBatch), prioritizes batch
@@ -419,9 +417,6 @@ func (d *DecodeEngine) stepDone(rec gpusim.KernelRecord) {
 	d.est.ObserveDecode(d.predicted, rec.Duration())
 	d.steps++
 	now := d.env.Sim.Now()
-	if d.OnStep != nil {
-		d.OnStep(now, bs, rec.Duration())
-	}
 	if d.QoS != nil {
 		// Feed the live TPOT signal: this step is the latency every
 		// batched request just paid per token.

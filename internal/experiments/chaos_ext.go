@@ -61,8 +61,9 @@ func chaosStorm(replicas int, horizon units.Seconds, seed int64) faults.ChaosCon
 // waits out every outage, and treats drains as crashes. The on arm gets
 // circuit breakers, dispatch timeouts, hedged re-dispatch, per-class
 // token buckets, and graceful drains. Everything is deterministic per
-// (seed, workers-independent): the rows are byte-identical across
-// same-seed runs and serial vs parallel replica advancement.
+// seed: the rows are byte-identical across same-seed runs and at every
+// workers value, which the cluster accepts and ignores (it advances
+// its replicas inline).
 func ExtChaos(d workload.Dataset, rate float64, n int, seed int64, workers int) []ChaosRow {
 	spec, cfg := Platform()
 	core.FittedParams(cfg, spec)

@@ -5,6 +5,11 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/estimator"
+	"repro/internal/gpusim"
+	"repro/internal/model"
+	"repro/internal/serving"
 	"repro/internal/workload"
 )
 
@@ -231,6 +236,46 @@ func TestFigure12Shapes(t *testing.T) {
 		t.Errorf("sglang queue %.3f not above bullet %.3f", r.SGLangQueueMean, r.BulletQueueMean)
 	}
 	_ = RenderFigure12(r)
+}
+
+// TestRecordSchedule checks the Fig. 12 series RecordSchedule fills
+// from the engine hooks: every series has samples, Algorithm 1 branches
+// are counted once per decision, prefill SMs move under load, and the
+// Waiting series is sampled at both decisions and batch starts.
+func TestRecordSchedule(t *testing.T) {
+	env := serving.NewEnv(gpusim.A100(), model.Llama31_8B(), "azure-code")
+	b := core.New(env, core.Options{Mode: core.ModeFull, Params: estimator.DefaultParams()})
+	s := RecordSchedule(b)
+	b.RunTrace(workload.Generate(workload.AzureCode, 3, 25, 11))
+
+	decisions := s.PrefillSMs.Len()
+	if decisions == 0 || s.DecodeSMs.Len() != decisions || s.DecodeBatch.Len() != decisions {
+		t.Fatalf("decision series: %d prefill-SM / %d decode-SM / %d decode-batch samples",
+			decisions, s.DecodeSMs.Len(), s.DecodeBatch.Len())
+	}
+	batches := s.PrefillTokens.Len()
+	if batches == 0 {
+		t.Fatal("no prefill batch starts recorded")
+	}
+	counted := 0
+	for _, c := range s.Branches {
+		counted += c
+	}
+	if len(s.Branches) == 0 || counted != decisions {
+		t.Fatalf("branches %v count %d decisions, want %d", s.Branches, counted, decisions)
+	}
+	if got := s.Waiting.Len(); got != decisions+batches {
+		t.Fatalf("waiting has %d samples, want %d decisions + %d batch starts", got, decisions, batches)
+	}
+	// SM allocations must vary under dynamic provisioning at load.
+	minSM, maxSM := math.Inf(1), math.Inf(-1)
+	for _, v := range s.PrefillSMs.V {
+		minSM = math.Min(minSM, v)
+		maxSM = math.Max(maxSM, v)
+	}
+	if minSM == maxSM {
+		t.Fatalf("prefill SMs never changed (always %v)", minSM)
+	}
 }
 
 func TestFigure13Shapes(t *testing.T) {

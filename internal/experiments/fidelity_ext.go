@@ -125,15 +125,16 @@ type FidelityClusterRow struct {
 	SLOAttainment float64
 }
 
-// ExtFidelityCluster runs the sampled backend under the deterministic
-// fork/join cluster harness (1 and 2 replicas). Per-replica backends
-// draw from splitmix-forked seed streams, so the rows are identical for
-// any worker count — the serial ≡ parallel property the backend
-// contract demands (pinned by TestFidelityClusterSerialParallel).
+// ExtFidelityCluster runs the sampled backend through the cluster (1
+// and 2 replicas). Per-replica backends draw from splitmix-forked seed
+// streams, and the cluster advances its replicas inline whatever the
+// worker count, so the rows are identical for any workers value — the
+// serial ≡ parallel property the backend contract demands (pinned by
+// TestFidelityClusterSerialParallel).
 func ExtFidelityCluster(d workload.Dataset, rate float64, n int, seed int64, workers int) []FidelityClusterRow {
 	spec, cfg := Platform()
-	// Warm the memoized profile and calibration table before forking so
-	// parallel replicas share them instead of racing to compute them.
+	// Warm the memoized profile and calibration table up front so every
+	// replica reads the same cached entries.
 	core.FittedParams(cfg, spec)
 	core.FittedLatencyTable(cfg, spec)
 	var rows []FidelityClusterRow

@@ -7,10 +7,46 @@ import (
 	"repro/internal/baselines/chunked"
 	"repro/internal/core"
 	"repro/internal/metrics"
+	"repro/internal/sched"
 	"repro/internal/serving"
+	"repro/internal/sim"
 	"repro/internal/units"
 	"repro/internal/workload"
 )
+
+// ScheduleSeries is the Fig. 12 instrumentation: step series of Bullet's
+// serving status, sampled at its scheduling decisions and prefill batch
+// starts.
+type ScheduleSeries struct {
+	PrefillSMs    metrics.Series
+	DecodeSMs     metrics.Series
+	PrefillTokens metrics.Series // tokens in the running prefill batch
+	DecodeBatch   metrics.Series
+	Waiting       metrics.Series // requests pending prefill
+	Branches      map[string]int // Algorithm 1 arm frequencies
+}
+
+// RecordSchedule sets b's Prefill/Decode OnDecision and Prefill
+// OnBatchStart hooks, replacing any already set, to fill the returned
+// series as the run proceeds. The engine hooks carry what the timeline
+// does not: the decode batch size and the queue depth at decision time.
+func RecordSchedule(b *core.Bullet) *ScheduleSeries {
+	s := &ScheduleSeries{Branches: map[string]int{}}
+	record := func(t sim.Time, d sched.Decision) {
+		s.PrefillSMs.Add(t, float64(d.PrefillSMs))
+		s.DecodeSMs.Add(t, float64(d.DecodeSMs))
+		s.Waiting.Add(t, float64(b.Prefill.QueueDepth()))
+		s.DecodeBatch.Add(t, float64(b.Decode.BatchSize()))
+		s.Branches[d.Branch]++
+	}
+	b.Prefill.OnDecision = record
+	b.Decode.OnDecision = record
+	b.Prefill.OnBatchStart = func(t sim.Time, tokens, reqs, waiting int) {
+		s.PrefillTokens.Add(t, float64(tokens))
+		s.Waiting.Add(t, float64(waiting))
+	}
+	return s
+}
 
 // Figure12Result is the timeline view of §4.3.1: Bullet's dynamic SM
 // provisioning, in-flight tokens/batch and pending queue over time, next
@@ -44,9 +80,10 @@ func Figure12(rate float64, n int, seed int64, samples int) Figure12Result {
 	d := workload.AzureCode
 	trace := workload.GenerateBursty(d, rate, 3, 8, n, seed)
 
-	// Bullet with timeline recording.
+	// Bullet with its serving status recorded.
 	envB := serving.NewEnv(spec, cfg, d.Name)
-	b := core.New(envB, core.Options{Mode: core.ModeFull, RecordTimeline: true})
+	b := core.New(envB, core.Options{Mode: core.ModeFull})
+	tl := RecordSchedule(b)
 	resB := envB.Run(b, trace)
 
 	// SGLang-2048 with hybrid batch sampling.
@@ -72,7 +109,6 @@ func Figure12(rate float64, n int, seed int64, samples int) Figure12Result {
 	for i := 0; i < samples; i++ {
 		out.SampleTimes = append(out.SampleTimes, units.Over(units.Scale(horizon, float64(i)), float64(samples-1)))
 	}
-	tl := b.Timeline
 	for _, t := range out.SampleTimes {
 		out.PrefillSMs = append(out.PrefillSMs, tl.PrefillSMs.At(t))
 		out.DecodeSMs = append(out.DecodeSMs, tl.DecodeSMs.At(t))

@@ -111,9 +111,9 @@ type QoSClusterRow struct {
 // ExtQoSCluster runs the mixed-tenant overload through a 2-replica
 // least-loaded cluster with the full QoS stack on every replica.
 // Controller state is per-replica and decisions fire at virtual-time
-// window boundaries, so the rows are byte-identical whether the replicas
-// step serially (workers=1) or in parallel — the property ci.sh pins
-// with its GOMAXPROCS 1-vs-4 diff.
+// window boundaries. The cluster advances its replicas inline and
+// ignores workers, so the rows are byte-identical at every workers
+// value — the property ci.sh pins with its GOMAXPROCS 1-vs-4 diff.
 func ExtQoSCluster(d workload.Dataset, rate float64, n int, seed int64, workers int) []QoSClusterRow {
 	spec, cfg := Platform()
 	core.FittedParams(cfg, spec)

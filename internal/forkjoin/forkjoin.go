@@ -1,7 +1,9 @@
 // Package forkjoin is the repository's single concurrency harness: a
 // deterministic, bounded fork/join executor for embarrassingly parallel
-// work such as advancing isolated cluster replicas between router
-// decision points or running independent sweep rows.
+// work such as independent sweep rows. The cluster does not fork: its
+// router windows advance every replica inline (DESIGN.md, "Concurrency
+// contract"), and its replicas stay isolated so a fork can return there
+// without other changes.
 //
 // The determinism contract (DESIGN.md, "Concurrency contract") is that
 // the OUTPUT of a fork/join region is a pure function of its inputs and

@@ -22,7 +22,8 @@ import (
 // Everything else reachable from the closure is shared: writing through
 // it, calling pointer-receiver methods on it, or returning it from a Map
 // body races the sibling tasks and makes results depend on the Go
-// scheduler. The rule is what lets the cluster advance replicas in
+// scheduler. The rule is what lets a fork/join region (today the sweep
+// rows; the cluster advances its replicas inline) run its tasks in
 // parallel and still promise byte-identical output at every worker
 // count.
 //
